@@ -752,52 +752,23 @@ let bench_store () =
      \"warm_p50_ms\": %.3f, \"warm_p99_ms\": %.3f}"
     cold_ns warm_ns hit identical warm_reads warm_p50 warm_p99
 
-(* Static dependence pruning: run the tool path with and without
-   --prune-static over the example systems.  The pruned report must be
-   identical — pruning only skips (min, max) pairs whose dependence the
-   token-flow analysis proves negative — so a divergence is a soundness
-   failure of Fsa_struct, not a perf regression, and fails the harness. *)
+(* The tool path's wall time over the example systems. *)
 let bench_struct () =
-  let module Metrics = Fsa_obs.Metrics in
-  let module Structural = Fsa_struct.Structural in
-  let pairs_pruned = Structural.pairs_pruned in
-  Metrics.set_enabled true;
   let systems =
     [ ("two-vehicles", V.stakeholder, fun () -> V.two_vehicles ());
       ("four-vehicles", V.stakeholder, fun () -> V.four_vehicles ());
       ("grid", Fsa_grid.Grid_apa.stakeholder,
        fun () -> Fsa_grid.Grid_apa.demand_response ()) ]
   in
-  let rows =
-    List.map
-      (fun (name, stakeholder, mk) ->
-        let apa = mk () in
-        let t0 = Fsa_obs.Span.now_ns () in
-        let plain = Analysis.tool ~stakeholder apa in
-        let plain_ns = Int64.sub (Fsa_obs.Span.now_ns ()) t0 in
-        Metrics.reset ();
-        let t0 = Fsa_obs.Span.now_ns () in
-        let pruned = Analysis.tool ~prune:true ~stakeholder apa in
-        let pruned_ns = Int64.sub (Fsa_obs.Span.now_ns ()) t0 in
-        let skipped = Metrics.counter_value pairs_pruned in
-        let equal =
-          Auth.equal_set plain.Analysis.t_requirements
-            pruned.Analysis.t_requirements
-        in
-        if not equal then incr failures;
-        Fmt.pr "  %-24s plain %a  pruned %a  skipped %d  identical: %s@."
-          name Fsa_obs.Span.pp_dur plain_ns Fsa_obs.Span.pp_dur pruned_ns
-          skipped
-          (if equal then "OK" else "MISMATCH");
-        Printf.sprintf
-          "    \"%s\": {\"wall_ns_unpruned\": %Ld, \"wall_ns_pruned\": %Ld, \
-           \"pairs_pruned\": %d, \"pruned_equal\": %b}"
-          name plain_ns pruned_ns skipped equal)
-      systems
-  in
-  Metrics.set_enabled false;
-  Metrics.reset ();
-  rows
+  List.map
+    (fun (name, stakeholder, mk) ->
+      let apa = mk () in
+      let t0 = Fsa_obs.Span.now_ns () in
+      ignore (Analysis.tool ~stakeholder apa);
+      let plain_ns = Int64.sub (Fsa_obs.Span.now_ns ()) t0 in
+      Fmt.pr "  %-24s plain %a@." name Fsa_obs.Span.pp_dur plain_ns;
+      Printf.sprintf "    \"%s\": {\"wall_ns_unpruned\": %Ld}" name plain_ns)
+    systems
 
 (* Provenance stamp: a benchmark number without the revision, host and
    core count that produced it cannot be compared against later runs. *)
@@ -893,11 +864,12 @@ let bench_reduction () =
     systems
 
 (* Shared multi-pair abstraction engine: the tool path over the EVITA
-   fleet spec with the engine on and off.  Two gates: the rendered
-   requirement reports must be byte-identical (the engine is a pure
+   fleet spec against the per-pair oracle (explore, then
+   [Hom.depends_abstract] for every (min, max) pair).  Two gates: the
+   dependence matrices must be identical (the engine is a pure
    optimisation), and the shared pass must be at least 2x faster than
-   the legacy per-pair path — one erase/determinise/minimise over the
-   union alphabet instead of one per surviving pair. *)
+   the per-pair loop — one erase/determinise/minimise over the union
+   alphabet instead of one per pair. *)
 let bench_abstraction () =
   let spec_path =
     List.find_opt Sys.file_exists
@@ -919,13 +891,25 @@ let bench_abstraction () =
       (r, Int64.sub (Fsa_obs.Span.now_ns ()) t0)
     in
     let legacy, legacy_ns =
-      time (fun () -> Analysis.tool ~shared:false ~stakeholder apa)
+      time (fun () ->
+          let lts = Lts.explore apa in
+          let set f = Fsa_term.Action.Set.elements (f lts) in
+          Fsa_hom.Hom.dependence_matrix lts ~minima:(set Lts.minima)
+            ~maxima:(set Lts.maxima))
     in
     let shared, shared_ns =
       time (fun () -> Analysis.tool ~stakeholder apa)
     in
-    let report r = Fmt.str "%a" Analysis.pp_tool_report r in
-    let identical = String.equal (report legacy) (report shared) in
+    let matrix m =
+      List.concat_map
+        (fun (mx, row) ->
+          List.map
+            (fun (mn, d) ->
+              (Fsa_term.Action.to_string mn, Fsa_term.Action.to_string mx, d))
+            row)
+        m
+    in
+    let identical = matrix legacy = matrix shared.Analysis.t_matrix in
     let speedup =
       if Int64.compare shared_ns 0L > 0 then
         Int64.to_float legacy_ns /. Int64.to_float shared_ns

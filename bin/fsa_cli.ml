@@ -162,13 +162,11 @@ let explore_progress spec_path =
 
 module Server = Fsa_server.Server
 
-let prune_arg =
-  Arg.(value & flag
-       & info [ "prune-static" ]
-           ~doc:"Skip the dependence test for action pairs the structural \
-                 pre-analysis proves independent (no token-flow path). \
-                 Sound: the derived requirements are identical to an \
-                 unpruned run.")
+let max_states_arg =
+  Arg.(value & opt int 1_000_000
+       & info [ "max-states" ] ~docv:"N"
+           ~doc:"State bound (per request under $(b,serve), per file \
+                 under $(b,batch)).")
 
 let flow_arg =
   Arg.(value & flag
@@ -177,9 +175,8 @@ let flow_arg =
                  information-flow analysis (taint reachability over the \
                  guard-refined def-use graph, see $(b,fsa flow)) proves \
                  independent. Sound: the derived requirements are \
-                 identical to an unpruned run; pairs only this analysis \
-                 prunes are attributed static-flow in the report \
-                 coverage.")
+                 identical to an unpruned run; the pruned pairs are \
+                 attributed static-flow in the report coverage.")
 
 let reduce_conv =
   let parse s =
@@ -201,23 +198,6 @@ let reduce_arg =
                  derived requirement set is identical to an unreduced run; \
                  models with custom action labels fall back to unreduced \
                  exploration. See $(b,fsa sym) for the detected orbits.")
-
-let shared_arg =
-  Arg.(value
-       & vflag true
-           [ ( true,
-               info [ "shared-abstraction" ]
-                 ~doc:"Answer all (minimum, maximum) dependence pairs from \
-                       one shared abstraction of the behaviour (erase once \
-                       to the union alphabet of the surviving pairs, \
-                       minimise, project per pair). This is the default; \
-                       verdicts and requirements are identical to the \
-                       per-pair path." );
-             ( false,
-               info [ "no-shared-abstraction" ]
-                 ~doc:"Escape hatch: recompute the homomorphic image from \
-                       the full reachability graph for every pair (the \
-                       legacy per-pair path)." ) ])
 
 let cache_arg =
   Arg.(value & flag
@@ -248,15 +228,11 @@ let open_store ~cache ~no_cache ~cache_dir =
     | store -> Some store
     | exception Sys_error msg -> or_die (Error msg)
 
-(* Run one analysis through the shared executor (cache-aware when the
-   config carries a store), mapping analysis-level failures to the CLI's
-   exit-code conventions. *)
-let exec_or_die cfg ~op ?meth ?max_states ?jobs ?prune ?flow ?sos ?keep
-    ?reduce ?shared ?progress ~file spec =
-  match
-    Server.Exec.run cfg ~op ?meth ?max_states ?jobs ?prune ?flow ?sos ?keep
-      ?reduce ?shared ?progress ~file spec
-  with
+(* Run one analysis — a call of [Server.Exec.run], cache-aware when the
+   config carries a store — mapping analysis-level failures to the
+   CLI's exit-code conventions. *)
+let exec_or_die ~file run =
+  match run () with
   | outcome -> outcome
   | exception Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file loc msg
   | exception Server.Usage_error msg -> die_usage msg
@@ -266,14 +242,9 @@ let exec_or_die cfg ~op ?meth ?max_states ?jobs ?prune ?flow ?sos ?keep
          (Printf.sprintf "state space exceeds the bound of %d states%s" n
             hint))
 
-(* As above, and print the human report; on a hit the marker goes to
-   stderr so stdout stays byte-identical to a fresh run. *)
-let run_exec cfg ~op ?meth ?max_states ?jobs ?prune ?flow ?sos ?keep ?reduce
-    ?shared ?progress ~file spec =
-  let outcome =
-    exec_or_die cfg ~op ?meth ?max_states ?jobs ?prune ?flow ?sos ?keep
-      ?reduce ?shared ?progress ~file spec
-  in
+(* Print an outcome's human report; on a hit the marker goes to stderr
+   so stdout stays byte-identical to a fresh run. *)
+let print_outcome outcome =
   if outcome.Server.Exec.oc_cached then Fmt.epr "(cached)@.";
   print_string outcome.Server.Exec.oc_output;
   outcome
@@ -283,8 +254,8 @@ let run_exec cfg ~op ?meth ?max_states ?jobs ?prune ?flow ?sos ?keep ?reduce
 (* --------------------------------------------------------------- *)
 
 let reach_cmd =
-  let run verbose spec_path max_states jobs flow reduce dot_out cache
-      no_cache cache_dir metrics_out trace_out =
+  let run verbose spec_path max_states jobs reduce dot_out cache no_cache
+      cache_dir metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     let spec = load_spec spec_path in
@@ -312,14 +283,11 @@ let reach_cmd =
       let store = open_store ~cache ~no_cache ~cache_dir in
       let cfg = Server.config ?store () in
       let progress = explore_progress spec_path in
-      (* reach has no dependence matrix, so --prune-flow cannot change
-         anything; accepted for symmetry with requirements *)
       ignore
-        (run_exec cfg ~op:Server.Exec.Reach ~max_states ~jobs ~flow ?reduce
-           ~progress ~file:spec_path spec)
-  in
-  let max_states =
-    Arg.(value & opt int 1_000_000 & info [ "max-states" ] ~doc:"State bound.")
+        (print_outcome
+           (exec_or_die ~file:spec_path (fun () ->
+                Server.Exec.run cfg ~op:Server.Exec.Reach ~max_states ~jobs
+                  ?reduce ~progress ~file:spec_path spec)))
   in
   let dot_out =
     Arg.(value & opt (some string) None
@@ -327,9 +295,9 @@ let reach_cmd =
   in
   Cmd.v
     (Cmd.info "reach" ~doc:"Compute the reachability graph of a specification's APA model.")
-    Term.(const run $ verbose_arg $ spec_arg $ max_states $ jobs_arg
-          $ flow_arg $ reduce_arg $ dot_out $ cache_arg $ no_cache_arg
-          $ cache_dir_arg $ metrics_out_arg $ trace_out_arg)
+    Term.(const run $ verbose_arg $ spec_arg $ max_states_arg $ jobs_arg
+          $ reduce_arg $ dot_out $ cache_arg $ no_cache_arg $ cache_dir_arg
+          $ metrics_out_arg $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa requirements                                                 *)
@@ -347,6 +315,10 @@ let meth_conv =
   in
   Arg.conv (parse, print)
 
+let meth_arg =
+  Arg.(value & opt meth_conv Analysis.Abstract
+       & info [ "method" ] ~doc:"Dependence test: direct or abstract.")
+
 let out_json_arg =
   Arg.(value & opt (some string) None
        & info [ "out" ] ~docv:"FILE"
@@ -354,8 +326,8 @@ let out_json_arg =
                  temp+rename write); the human report still goes to stdout.")
 
 let requirements_cmd =
-  let run verbose spec_path meth max_states jobs prune flow reduce shared
-      out cache no_cache cache_dir metrics_out trace_out =
+  let run verbose spec_path meth max_states jobs flow reduce out cache
+      no_cache cache_dir metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     let spec = load_spec spec_path in
@@ -365,8 +337,10 @@ let requirements_cmd =
     in
     let progress = explore_progress spec_path in
     let outcome =
-      run_exec cfg ~op:Server.Exec.Requirements ~meth ~max_states ~jobs
-        ~prune ~flow ?reduce ~shared ~progress ~file:spec_path spec
+      print_outcome
+        (exec_or_die ~file:spec_path (fun () ->
+             Server.Exec.run cfg ~op:Server.Exec.Requirements ~meth
+               ~max_states ~jobs ~flow ?reduce ~progress ~file:spec_path spec))
     in
     Option.iter
       (fun path ->
@@ -374,28 +348,20 @@ let requirements_cmd =
           (Fsa_store.Json.to_string outcome.Server.Exec.oc_result ^ "\n"))
       out
   in
-  let meth =
-    Arg.(value & opt meth_conv Analysis.Abstract
-         & info [ "method" ] ~doc:"Dependence test: direct or abstract.")
-  in
-  let max_states =
-    Arg.(value & opt int 1_000_000 & info [ "max-states" ] ~doc:"State bound.")
-  in
   Cmd.v
     (Cmd.info "requirements"
        ~doc:"Derive authenticity requirements from a specification's APA model (tool path).")
-    Term.(const run $ verbose_arg $ spec_arg $ meth $ max_states $ jobs_arg
-          $ prune_arg $ flow_arg $ reduce_arg $ shared_arg $ out_json_arg
-          $ cache_arg $ no_cache_arg $ cache_dir_arg $ metrics_out_arg
-          $ trace_out_arg)
+    Term.(const run $ verbose_arg $ spec_arg $ meth_arg $ max_states_arg
+          $ jobs_arg $ flow_arg $ reduce_arg $ out_json_arg $ cache_arg
+          $ no_cache_arg $ cache_dir_arg $ metrics_out_arg $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa analyze (manual path over sos declarations)                  *)
 (* --------------------------------------------------------------- *)
 
 let analyze_cmd =
-  let run verbose spec_path sos_name prune flow reduce cache no_cache
-      cache_dir metrics_out trace_out =
+  let run verbose spec_path sos_name cache no_cache cache_dir metrics_out
+      trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     let spec = load_spec spec_path in
@@ -406,12 +372,11 @@ let analyze_cmd =
     | ds -> List.iter (fun d -> Fmt.epr "%a@." Fsa_check.Diagnostic.pp d) ds);
     let store = open_store ~cache ~no_cache ~cache_dir in
     let cfg = Server.config ?store () in
-    (* the manual path never explores a state space, so pruning and
-       reduction are no-ops here; the flags are accepted for symmetry
-       with requirements *)
     ignore
-      (run_exec cfg ~op:Server.Exec.Analyze ?sos:sos_name ~prune ~flow
-         ?reduce ~file:spec_path spec)
+      (print_outcome
+         (exec_or_die ~file:spec_path (fun () ->
+              Server.Exec.run cfg ~op:Server.Exec.Analyze ?sos:sos_name
+                ~file:spec_path spec)))
   in
   let sos_name =
     Arg.(value & opt (some string) None
@@ -420,9 +385,8 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Derive authenticity requirements from functional models (manual path).")
-    Term.(const run $ verbose_arg $ spec_arg $ sos_name $ prune_arg
-          $ flow_arg $ reduce_arg $ cache_arg $ no_cache_arg $ cache_dir_arg
-          $ metrics_out_arg $ trace_out_arg)
+    Term.(const run $ verbose_arg $ spec_arg $ sos_name $ cache_arg
+          $ no_cache_arg $ cache_dir_arg $ metrics_out_arg $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa abstract                                                     *)
@@ -505,8 +469,10 @@ let abstract_cmd =
       let store = open_store ~cache ~no_cache ~cache_dir in
       let cfg = Server.config ?store () in
       let outcome =
-        run_exec cfg ~op:Server.Exec.Abstract ~keep ~jobs ~file:spec_path
-          spec
+        print_outcome
+          (exec_or_die ~file:spec_path (fun () ->
+               Server.Exec.run cfg ~op:Server.Exec.Abstract ~keep ~jobs
+                 ~file:spec_path spec))
       in
       Option.iter
         (fun path ->
@@ -1076,16 +1042,16 @@ let flow_cmd =
 (* --------------------------------------------------------------- *)
 
 let verify_cmd =
-  let run verbose spec_path jobs flow reduce cache no_cache cache_dir =
+  let run verbose spec_path jobs reduce cache no_cache cache_dir =
     setup_logs verbose;
     let spec = load_spec spec_path in
     let store = open_store ~cache ~no_cache ~cache_dir in
     let cfg = Server.config ?store () in
-    (* verify has no dependence matrix either; the flag is accepted for
-       symmetry with requirements *)
     let outcome =
-      run_exec cfg ~op:Server.Exec.Verify ~jobs ~flow ?reduce
-        ~file:spec_path spec
+      print_outcome
+        (exec_or_die ~file:spec_path (fun () ->
+             Server.Exec.run cfg ~op:Server.Exec.Verify ~jobs ?reduce
+               ~file:spec_path spec))
     in
     if outcome.Server.Exec.oc_exit <> 0 then begin
       (match Fsa_store.Json.member "failed" outcome.Server.Exec.oc_result with
@@ -1100,8 +1066,8 @@ let verify_cmd =
        ~doc:"Evaluate a specification's check declarations against its \
              behaviour (explores the state space; see $(b,check) for the \
              static analysis).")
-    Term.(const run $ verbose_arg $ spec_arg $ jobs_arg $ flow_arg
-          $ reduce_arg $ cache_arg $ no_cache_arg $ cache_dir_arg)
+    Term.(const run $ verbose_arg $ spec_arg $ jobs_arg $ reduce_arg
+          $ cache_arg $ no_cache_arg $ cache_dir_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa monitor                                                      *)
@@ -1157,8 +1123,8 @@ let monitor_cmd =
 (* --------------------------------------------------------------- *)
 
 let report_cmd =
-  let run verbose spec_path format sos_name out meth max_states jobs prune
-      flow reduce shared cache no_cache cache_dir metrics_out trace_out =
+  let run verbose spec_path format sos_name out meth max_states jobs flow
+      reduce cache no_cache cache_dir metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     let spec = load_spec spec_path in
@@ -1168,8 +1134,9 @@ let report_cmd =
     in
     let progress = explore_progress spec_path in
     let outcome =
-      exec_or_die cfg ~op:Server.Exec.Report ~meth ~max_states ~jobs ~prune
-        ~flow ?sos:sos_name ?reduce ~shared ~progress ~file:spec_path spec
+      exec_or_die ~file:spec_path (fun () ->
+          Server.Exec.run cfg ~op:Server.Exec.Report ~meth ~max_states ~jobs
+            ~flow ?sos:sos_name ?reduce ~progress ~file:spec_path spec)
     in
     if outcome.Server.Exec.oc_cached then Fmt.epr "(cached)@.";
     let content =
@@ -1198,22 +1165,15 @@ let report_cmd =
              ~doc:"Output file (atomic temp+rename write; stdout by \
                    default).")
   in
-  let meth =
-    Arg.(value & opt meth_conv Analysis.Abstract
-         & info [ "method" ] ~doc:"Dependence test: direct or abstract.")
-  in
-  let max_states =
-    Arg.(value & opt int 1_000_000 & info [ "max-states" ] ~doc:"State bound.")
-  in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Render the requirements report: stable SR-* identifiers, \
              provenance, traceability matrix, coverage and verification \
              tags (deterministic Markdown or JSON).")
     Term.(const run $ verbose_arg $ spec_arg $ format $ sos_name $ out
-          $ meth $ max_states $ jobs_arg $ prune_arg $ flow_arg
-          $ reduce_arg $ shared_arg $ cache_arg $ no_cache_arg
-          $ cache_dir_arg $ metrics_out_arg $ trace_out_arg)
+          $ meth_arg $ max_states_arg $ jobs_arg $ flow_arg $ reduce_arg
+          $ cache_arg $ no_cache_arg $ cache_dir_arg $ metrics_out_arg
+          $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa lint                                                         *)
@@ -1302,8 +1262,8 @@ let diff_cmd =
 let op_names = "reach|requirements|analyze|abstract|verify|check|report"
 
 let serve_cmd =
-  let run verbose socket workers timeout_ms max_states prune no_cache
-      cache_dir flight_dir slow_ms metrics_out trace_out =
+  let run verbose socket workers timeout_ms max_states no_cache cache_dir
+      flight_dir slow_ms metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     (* a daemon always collects metrics, whether or not it dumps them on
@@ -1312,8 +1272,8 @@ let serve_cmd =
     (* the daemon caches by default; --no-cache switches it off *)
     let store = open_store ~cache:true ~no_cache ~cache_dir in
     let cfg =
-      Server.config ~workers ~max_states ~timeout_ms ?store ~prune
-        ?flight_dir ~slow_ms
+      Server.config ~workers ~max_states ~timeout_ms ?store ?flight_dir
+        ~slow_ms
         ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder ()
     in
     let stop _ = Server.request_shutdown () in
@@ -1338,10 +1298,6 @@ let serve_cmd =
          & info [ "timeout-ms" ] ~docv:"MS"
              ~doc:"Per-request wall-clock budget (0 = unlimited).")
   in
-  let max_states =
-    Arg.(value & opt int 1_000_000
-         & info [ "max-states" ] ~doc:"Per-request state bound.")
-  in
   let flight_dir =
     Arg.(value & opt (some string) None
          & info [ "flight-dir" ] ~docv:"DIR"
@@ -1363,15 +1319,15 @@ let serve_cmd =
              Unix-domain socket.  SIGTERM drains in-flight requests and \
              exits.  $(b,fsa stats) queries a running daemon.")
     Term.(const run $ verbose_arg $ socket $ workers $ timeout_ms
-          $ max_states $ prune_arg $ no_cache_arg $ cache_dir_arg
-          $ flight_dir $ slow_ms $ metrics_out_arg $ trace_out_arg)
+          $ max_states_arg $ no_cache_arg $ cache_dir_arg $ flight_dir
+          $ slow_ms $ metrics_out_arg $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa batch                                                        *)
 (* --------------------------------------------------------------- *)
 
 let batch_cmd =
-  let run verbose op_name jobs max_states timeout_ms prune no_cache cache_dir
+  let run verbose op_name jobs max_states timeout_ms no_cache cache_dir
       metrics_out trace_out spec_paths =
     setup_logs verbose;
     (* resolve the op before entering [with_obs], and exit after leaving
@@ -1388,7 +1344,7 @@ let batch_cmd =
       (* batch runs cache by default; --no-cache switches it off *)
       let store = open_store ~cache:true ~no_cache ~cache_dir in
       let cfg =
-        Server.config ~max_states ~timeout_ms ?store ~prune
+        Server.config ~max_states ~timeout_ms ?store
           ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder ()
       in
       Server.Batch.run cfg ~op ~jobs spec_paths
@@ -1400,10 +1356,6 @@ let batch_cmd =
          & info [ "op" ] ~docv:"OP"
              ~doc:"Analysis to run over each file: reach, requirements, \
                    analyze, abstract, verify or check.")
-  in
-  let max_states =
-    Arg.(value & opt int 1_000_000
-         & info [ "max-states" ] ~doc:"Per-file state bound.")
   in
   let timeout_ms =
     Arg.(value & opt int 0
@@ -1419,9 +1371,9 @@ let batch_cmd =
        ~doc:"Run one analysis over many specification files in parallel, \
              cache-aware; prints one JSON result line per file, in input \
              order.")
-    Term.(const run $ verbose_arg $ op_name $ jobs_arg $ max_states
-          $ timeout_ms $ prune_arg $ no_cache_arg $ cache_dir_arg
-          $ metrics_out_arg $ trace_out_arg $ specs_arg)
+    Term.(const run $ verbose_arg $ op_name $ jobs_arg $ max_states_arg
+          $ timeout_ms $ no_cache_arg $ cache_dir_arg $ metrics_out_arg
+          $ trace_out_arg $ specs_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa stats (live daemon introspection)                            *)

@@ -473,7 +473,7 @@ let pass_deep ?file ?budget sk add =
         (D.info ?file ~code:"FSA046"
            "%d of %d ordered rule pairs have no token flow between them: \
             their functional dependence tests are skipped under \
-            --prune-static"
+            --prune-flow"
            r.Structural.r_independent_pairs r.Structural.r_rule_pairs);
     List.iter
       (fun t ->

@@ -131,7 +131,7 @@ let registry =
       initially marked trap");
     ("FSA046", Info,
      "statically independent rule pairs: no token flow connects them, so \
-      their dependence tests can be skipped under --prune-static");
+      their dependence tests are skipped under --prune-flow");
     ("FSA047", Info,
      "initially marked trap: these components can never all drain");
     ("FSA048", Info,

@@ -37,20 +37,18 @@ type dependence_method =
 type pair_timing = {
   pt_min : Action.t;
   pt_max : Action.t;
-  pt_pruned : bool;  (** skipped by static pruning, all stages 0 *)
+  pt_pruned : bool;  (** skipped by static pruning, [pt_compare_ns] 0 *)
   pt_pruned_by : string option;
       (** which static argument settled the pair: ["static"] (skeleton
-          token reachability, [?prune]) or ["static-flow"] (the
-          guard-refined flow graph, [?flow]); [None] when tested *)
-  pt_erase_ns : int64;
-  pt_determinise_ns : int64;
-  pt_minimise_ns : int64;
+          token reachability, forced on by an ample-set [?reduce]) or
+          ["static-flow"] (the guard-refined flow graph, [?flow]);
+          [None] when tested *)
   pt_compare_ns : int64;
+      (** the dependence test itself: the BFS under [Direct], the
+          verdict off the shared quotient under [Abstract] *)
 }
-(** Wall-clock breakdown of one (min, max) dependence test, in matrix
-    order.  The erase/determinise/minimise stages are populated by the
-    [Abstract] method; under [Direct] the whole BFS is accounted to
-    [pt_compare_ns]. *)
+(** Wall-clock time of one (min, max) dependence test, in matrix
+    order. *)
 
 type shared_timing = {
   sh_alphabet_size : int;  (** union alphabet of the surviving pairs *)
@@ -63,11 +61,8 @@ type shared_timing = {
   sh_minimise_ns : int64;
   sh_early_ns : int64;
 }
-(** One-off cost and shape of the shared abstraction engine's build —
-    the work the per-pair [pt_erase_ns]/[pt_determinise_ns]/
-    [pt_minimise_ns] columns no longer contain when the shared path
-    answered the pairs (they are 0 there; only [pt_compare_ns] remains
-    genuinely per-pair). *)
+(** One-off cost and shape of the shared abstraction engine's build:
+    the erase/determinise/minimise work every [Abstract] pair shares. *)
 
 type phase_timings = {
   ph_explore_ns : int64;
@@ -76,7 +71,8 @@ type phase_timings = {
   ph_derive_ns : int64;
   ph_pairs : pair_timing list;
   ph_shared : shared_timing option;
-      (** [Some] iff the shared engine answered this run's pairs *)
+      (** [Some] iff the shared engine answered this run's pairs
+          ([Abstract] with at least one unpruned pair) *)
 }
 (** Per-phase durations of one {!tool} run.  Always collected — the
     clock readings are negligible against the phases they measure — so
@@ -109,7 +105,7 @@ type tool_report = {
   t_reduction : reduction_info option;  (** [Some] iff [?reduce] given *)
   t_engine : Fsa_hom.Hom.Shared.engine option;
       (** the shared multi-pair engine that answered the dependence
-          queries, when one was built ([Abstract] method with [?shared]);
+          queries, when one was built ([Abstract] method);
           downstream layers reuse it to project per-pair minimal
           automata without re-walking the graph *)
 }
@@ -124,6 +120,9 @@ val dependence :
   min_action:Action.t ->
   max_action:Action.t ->
   bool
+(** One pair, tested on its own: {!Lts.depends_on} under [Direct],
+    {!Fsa_hom.Hom.depends_abstract} under [Abstract].  The per-pair
+    oracle {!tool}'s matrix must agree with. *)
 
 type quotient_cache = {
   qc_find : alphabet:Action.t list -> Fsa_hom.Hom.A.Dfa.t option;
@@ -133,8 +132,8 @@ type quotient_cache = {
     shared abstraction engine.  The store lives above this library, so
     the analysis takes the cache as callbacks; implementations must key
     entries on the spec digest {e and} the erased-alphabet digest {e
-    and} an engine version, so per-pair-era entries never replay as
-    shared-pass results. *)
+    and} an engine version, so entries of another engine generation
+    never replay. *)
 
 val quotient :
   ?max_states:int ->
@@ -175,10 +174,8 @@ val tool :
   ?meth:dependence_method ->
   ?max_states:int ->
   ?jobs:int ->
-  ?prune:bool ->
   ?flow:Fsa_flow.Flow.t ->
   ?reduce:Fsa_sym.Sym.plan ->
-  ?shared:bool ->
   ?quotient_cache:quotient_cache ->
   ?progress:Fsa_obs.Progress.t ->
   stakeholder:(Action.t -> Agent.t) ->
@@ -191,43 +188,38 @@ val tool :
     [jobs > 1] the exploration runs on {!Lts.explore_par} over that many
     domains — the resulting graph is identical to the sequential one.
 
-    [prune] (default [false]) skips the dependence test for (min, max)
-    pairs {!Fsa_struct.Structural} proves statically independent (no
-    token-flow path from the min's rule to the max's rule), recording
-    them as independent directly and counting each skip in the
-    [struct.pairs_pruned] metric.  The pruning is sound — a pair with no
-    token flow can never test dependent — and it is automatically
-    disabled when the LTS is not labelled by plain rule names, so the
-    report (matrix included) is identical with and without it.
+    [meth] (default [Abstract]) picks the dependence test.  [Abstract]
+    answers all surviving (min, max) pairs from one shared abstraction
+    ({!Fsa_hom.Hom.Shared}): erase once to the union alphabet of their
+    actions, determinise/minimise that shared image, then decide each
+    pair on the shared automaton (and, on-the-fly, during the single
+    pass over the graph where the independent verdict is already
+    witnessed).  Verdicts and per-pair minimal automata equal the
+    per-pair oracle {!dependence} — [preserve {min, max}] factors
+    through [preserve union] and minimal DFAs are unique up to
+    isomorphism.  [quotient_cache] lets the caller persist/reuse the
+    shared quotient across runs (see {!quotient_cache}); a cache hit
+    skips the erase/determinise/minimise and early-decision work
+    entirely.  [Direct] runs {!Lts.depends_on} per pair.
 
     [flow] supplies a {!Fsa_flow.Flow} graph of the same model and
-    additionally skips every pair that graph proves flow-independent
-    ([--prune-flow]).  The refined graph is a subgraph of the skeleton's
-    (guards can only sever edges), so the same soundness argument
-    applies and the report stays identical; pairs the skeleton argument
-    does not already settle are attributed ["static-flow"] in
-    {!pair_timing.pt_pruned_by} and counted in the [flow.pairs_pruned]
-    metric.  The same rule-name labelling gate applies.
-
-    [shared] (default [true], effective only under [Abstract]) answers
-    all surviving (min, max) pairs from one shared abstraction: erase
-    once to the union alphabet of their actions, determinise/minimise
-    that shared image, then decide each pair on the shared automaton
-    (and, on-the-fly, during the single pass over the graph where the
-    independent verdict is already witnessed).  Verdicts, requirement
-    reports and per-pair minimal automata are identical to the per-pair
-    path — [preserve {min, max}] factors through [preserve union] and
-    minimal DFAs are unique up to isomorphism.  [quotient_cache] lets
-    the caller persist/reuse the shared quotient across runs (see
-    {!quotient_cache}); a cache hit skips the erase/determinise/minimise
-    and early-decision work entirely.
+    skips every pair that graph proves flow-independent
+    ([--prune-flow]), recording it as independent, attributing it
+    ["static-flow"] in {!pair_timing.pt_pruned_by} and counting it in
+    the [flow.pairs_pruned] metric.  The pruning is sound — a pair with
+    no flow path can never test dependent — and it is automatically
+    disabled when the LTS is not labelled by plain rule names, so the
+    report (matrix included) is identical with and without it.
 
     [reduce] applies a {!Fsa_sym.Sym.plan}.  A symmetry component is
     applied as quotient-then-{!unfolded}, so the derived requirements
     are identical to the unreduced run's while rule matching is confined
     to orbit representatives; an ample-set component restricts the
-    explored interleavings and forces static pruning on (see
-    {!reduction_info} and DESIGN.md §13 for the soundness argument).
+    explored interleavings and forces the skeleton's static pruning on
+    (pairs {!Fsa_struct.Structural} proves independent are recorded
+    without a test, attributed ["static"] and counted in
+    [struct.pairs_pruned]; see {!reduction_info} and DESIGN.md §13 for
+    the soundness argument).
     [jobs] does not parallelise the unfold (the quotient dominates the
     matching cost).  Models without the default rule-name labelling
     fall back to unreduced exploration, recorded in [ri_fallback].

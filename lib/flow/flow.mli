@@ -26,8 +26,8 @@
       firings and their downward flow closure from any run leaves a
       valid run still containing [max], so the dependence test is
       negative by construction.  The refined graph is a subgraph of the
-      skeleton's, so everything the skeleton prunes is pruned here too
-      ([--prune-flow] subsumes [--prune-static]);
+      skeleton's, so every pair the skeleton proves independent is
+      pruned here too;
     - on top of the graph, the analyses behind the FSA060–FSA069
       diagnostics: protected components flowing into cross-instance
       channels (confidentiality leaks), cross-instance edges whose
@@ -148,7 +148,7 @@ val independent_pairs : t -> int
 
 val skeleton_independent_pairs : t -> int
 (** The same count over the unrefined skeleton graph (kills ignored) —
-    the [--prune-static] baseline, for reporting the refinement gain. *)
+    the baseline, for reporting the refinement gain. *)
 
 val rule_pairs : t -> int
 (** All ordered rule pairs, [n * (n - 1)]. *)

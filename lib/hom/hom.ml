@@ -183,48 +183,14 @@ let dfa_has_target_before_avoid dfa ~avoid ~target =
   in
   go IS.empty [ A.Dfa.start dfa ]
 
-(* Wall-clock breakdown of one abstraction-based dependence test: the
-   four sub-phases the paper's tool pipeline spends its time in. *)
-type dependence_timing = {
-  dt_erase_ns : int64;
-  dt_determinise_ns : int64;
-  dt_minimise_ns : int64;
-  dt_compare_ns : int64;
-}
-
-let depends_abstract_timed lts ~min_action ~max_action =
-  Metrics.incr m_dependence_tests;
-  let h = preserve [ min_action; max_action ] in
-  let dfa, dt_erase_ns, dt_determinise_ns, dt_minimise_ns =
-    (* same span and counter as [minimal_automaton], with per-stage
-       clock readings in between *)
-    Span.with_ ~cat:"hom" "hom.minimal_automaton" @@ fun () ->
-    Metrics.incr m_minimal_automata;
-    let t0 = Span.now_ns () in
-    let nfa = image_nfa h lts in
-    let t1 = Span.now_ns () in
-    let det = A.Dfa.determinize nfa in
-    let t2 = Span.now_ns () in
-    let dfa = A.Dfa.minimize det in
-    let t3 = Span.now_ns () in
-    Log.debug (fun m ->
-        m "minimal automaton of %s image: %d states, %d transitions"
-          (Lts.name lts) (A.Dfa.nb_states dfa) (A.Dfa.nb_transitions dfa));
-    (dfa, Int64.sub t1 t0, Int64.sub t2 t1, Int64.sub t3 t2)
-  in
-  let t3 = Span.now_ns () in
-  let dep =
-    not (dfa_has_target_before_avoid dfa ~avoid:min_action ~target:max_action)
-  in
-  let t4 = Span.now_ns () in
-  ( dep,
-    { dt_erase_ns;
-      dt_determinise_ns;
-      dt_minimise_ns;
-      dt_compare_ns = Int64.sub t4 t3 } )
-
+(* The per-pair test: preserve only {min, max}, minimise the image of
+   the whole behaviour and read the verdict off it.  {!Shared} answers
+   the same question for many pairs at once; this stays as its
+   reference oracle and as the single-pair query of [fsa abstract]. *)
 let depends_abstract lts ~min_action ~max_action =
-  fst (depends_abstract_timed lts ~min_action ~max_action)
+  Metrics.incr m_dependence_tests;
+  let dfa = minimal_automaton (preserve [ min_action; max_action ]) lts in
+  not (dfa_has_target_before_avoid dfa ~avoid:min_action ~target:max_action)
 
 (* Testing each maximum against each minimum (Sect. 5.5): the dependence
    matrix of the behaviour. *)
@@ -452,28 +418,13 @@ module Shared = struct
         (Fmt.str "Hom.Shared: pair (%a, %a) outside the shared alphabet"
            Action.pp min_action Action.pp max_action)
 
-  let depends_timed e ~min_action ~max_action =
+  let depends e ~min_action ~max_action =
     check_pair e ~min_action ~max_action;
     Metrics.incr m_dependence_tests;
-    let t0 = Span.now_ns () in
-    let dep =
-      if Pair_set.mem (min_action, max_action) e.sh_early then false
-      else
-        not
-          (dfa_has_target_before_avoid e.sh_dfa ~avoid:min_action
-             ~target:max_action)
-    in
-    let t1 = Span.now_ns () in
-    ( dep,
-      (* the erase/determinise/minimise work happened once, in [build];
-         per-pair rows carry only the genuinely per-pair compare time *)
-      { dt_erase_ns = 0L;
-        dt_determinise_ns = 0L;
-        dt_minimise_ns = 0L;
-        dt_compare_ns = Int64.sub t1 t0 } )
-
-  let depends e ~min_action ~max_action =
-    fst (depends_timed e ~min_action ~max_action)
+    (not (Pair_set.mem (min_action, max_action) e.sh_early))
+    && not
+         (dfa_has_target_before_avoid e.sh_dfa ~avoid:min_action
+            ~target:max_action)
 
   (* The pair's minimal automaton, projected from the shared quotient
      instead of recomputed from the behaviour — isomorphic to

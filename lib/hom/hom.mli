@@ -63,23 +63,6 @@ val depends_abstract :
     minimise, and check that [max_action] cannot occur before
     [min_action]. *)
 
-type dependence_timing = {
-  dt_erase_ns : int64;  (** building the homomorphic image NFA *)
-  dt_determinise_ns : int64;
-  dt_minimise_ns : int64;
-  dt_compare_ns : int64;  (** the target-before-avoid search *)
-}
-(** Wall-clock breakdown of one abstraction-based dependence test. *)
-
-val depends_abstract_timed :
-  Lts.t ->
-  min_action:Action.t ->
-  max_action:Action.t ->
-  bool * dependence_timing
-(** {!depends_abstract} plus the time spent in each sub-phase, so the
-    analysis layer can report which phase dominates per (min, max)
-    pair. *)
-
 val dependence_matrix :
   Lts.t ->
   minima:Action.t list ->
@@ -131,15 +114,8 @@ module Shared : sig
   (** Number of pairs the single pass already proved independent. *)
 
   val depends : engine -> min_action:Action.t -> max_action:Action.t -> bool
-
-  val depends_timed :
-    engine ->
-    min_action:Action.t ->
-    max_action:Action.t ->
-    bool * dependence_timing
-  (** Per-pair verdict off the shared engine.  The returned timing rows
-      carry only the genuinely per-pair compare time; the shared
-      erase/determinise/minimise cost lives in {!timing}.
+  (** Per-pair verdict off the shared engine, identical to
+      {!depends_abstract} on the behaviour the engine was built from.
       @raise Invalid_argument if the pair is outside the engine's
       alphabet. *)
 

@@ -125,11 +125,13 @@ type coverage = {
 type settings = {
   sg_path : string;  (** ["tool"] or ["manual"] *)
   sg_method : string;  (** ["abstract"], ["direct"] or ["manual"] *)
-  sg_engine : string;  (** ["shared-v1"], ["per-pair"], ["direct"], ["manual"] *)
+  sg_engine : string;
+      (** ["shared-v1"] (abstract method), ["direct"] or ["manual"] *)
   sg_reduce : string;  (** ["none"], ["sym"], ["por"] or ["sym+por"] *)
   sg_prune : string;
-      (** ["none"], ["static"], ["flow"] or ["static+flow"] — which
-          sound pruners skipped dependence tests *)
+      (** ["none"] or ["flow"] — whether the flow pruner ([--prune-flow])
+          skipped dependence tests; the pruning an ample-set reduction
+          forces shows in [sg_reduce] and the per-pair attribution *)
   sg_max_states : int;
 }
 (** What produced the report.  Settings (and the other run-dependent

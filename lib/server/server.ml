@@ -49,20 +49,18 @@ type config = {
   sv_timeout_ms : int;
   sv_store : Store.t option;
   sv_stakeholder : Action.t -> Agent.t;
-  sv_prune : bool;
   sv_flight_dir : string option;
   sv_slow_ms : float;
 }
 
 let config ?(workers = 1) ?(max_states = 1_000_000) ?(timeout_ms = 0) ?store
     ?(stakeholder = Fsa_requirements.Derive.default_stakeholder)
-    ?(prune = false) ?flight_dir ?(slow_ms = 0.) () =
+    ?flight_dir ?(slow_ms = 0.) () =
   { sv_workers = workers;
     sv_max_states = max_states;
     sv_timeout_ms = timeout_ms;
     sv_store = store;
     sv_stakeholder = stakeholder;
-    sv_prune = prune;
     sv_flight_dir = flight_dir;
     sv_slow_ms = slow_ms }
 
@@ -239,11 +237,10 @@ module Exec = struct
       if lo = hi then a.(lo)
       else a.(lo) +. ((pos -. float_of_int lo) *. (a.(hi) -. a.(lo)))
 
-  (* Per-pair timing quantiles.  Statically pruned pairs never ran any
-     stage — their rows are all-zero placeholders — so they are
-     excluded from the aggregation: counting them drags every quantile
-     toward 0 and makes the dependence tests look cheaper than they
-     are. *)
+  (* Per-pair timing quantiles.  Statically pruned pairs never ran a
+     test — their rows are zero placeholders — so they are excluded
+     from the aggregation: counting them drags every quantile toward 0
+     and makes the dependence tests look cheaper than they are. *)
   let pair_quantiles pairs =
     let live = List.filter (fun p -> not p.Analysis.pt_pruned) pairs in
     let qobj xs =
@@ -252,16 +249,9 @@ module Exec = struct
           ("p90", Json.Float (quantile_of xs 0.9));
           ("p99", Json.Float (quantile_of xs 0.99)) ]
     in
-    let total p =
-      ms_of_ns
-        (Int64.add
-           (Int64.add p.Analysis.pt_erase_ns p.Analysis.pt_determinise_ns)
-           (Int64.add p.Analysis.pt_minimise_ns p.Analysis.pt_compare_ns))
-    in
     Json.Obj
       [ ("tested", Json.Int (List.length live));
         ("pruned", Json.Int (List.length pairs - List.length live));
-        ("total_ms", qobj (List.map total live));
         ( "compare_ms",
           qobj (List.map (fun p -> ms_of_ns p.Analysis.pt_compare_ns) live)
         ) ]
@@ -299,12 +289,6 @@ module Exec = struct
                         match p.Analysis.pt_pruned_by with
                         | Some by -> Json.Str by
                         | None -> Json.Null );
-                      ( "erase_ms",
-                        Json.Float (ms_of_ns p.Analysis.pt_erase_ns) );
-                      ( "determinise_ms",
-                        Json.Float (ms_of_ns p.Analysis.pt_determinise_ns) );
-                      ( "minimise_ms",
-                        Json.Float (ms_of_ns p.Analysis.pt_minimise_ns) );
                       ( "compare_ms",
                         Json.Float (ms_of_ns p.Analysis.pt_compare_ns) ) ])
                 t.Analysis.ph_pairs) );
@@ -318,16 +302,15 @@ module Exec = struct
 
   (* Version stamp of the shared abstraction engine.  Part of every
      abstract-method requirements key and of every quotient entry's
-     key, so entries written by a different engine generation (or by
-     the per-pair path) can never replay as shared-pass results. *)
+     key, so entries written by a different engine generation can never
+     replay as this one's results. *)
   let abstraction_engine = "shared-v1"
 
-  (* Which engine actually answers dependence queries — part of the
+  (* Which engine answers dependence queries — part of the
      requirements/report outcome keys and of the report settings. *)
-  let engine_string ~meth ~shared =
-    match meth with
+  let engine_string = function
     | Analysis.Direct -> "direct"
-    | Analysis.Abstract -> if shared then abstraction_engine else "per-pair"
+    | Analysis.Abstract -> abstraction_engine
 
   module Int_set = Fsa_automata.Automata.Int_set
 
@@ -435,28 +418,21 @@ module Exec = struct
 
   (* ---- requirement reports -------------------------------------- *)
 
-  let prune_string ~prune ~flow =
-    match (prune, flow) with
-    | false, false -> "none"
-    | true, false -> "static"
-    | false, true -> "flow"
-    | true, true -> "static+flow"
-
-  let report_settings ~meth ~shared ~reduce ~prune ~flow ~max_states =
+  let report_settings ~meth ~reduce ~flow ~max_states =
     { Report.sg_path = "tool";
       sg_method = meth_string meth;
-      sg_engine = engine_string ~meth ~shared;
+      sg_engine = engine_string meth;
       sg_reduce =
         (match reduce with None -> "none" | Some k -> Sym.kind_to_string k);
-      sg_prune = prune_string ~prune ~flow;
+      sg_prune = (if flow then "flow" else "none");
       sg_max_states = max_states }
 
   (* One tool-path run plus its Fsa_report view.  The report digest
      covers APA *and* models: classification maps requirements onto the
      declared functional models, so a model edit must change it even
      when the APA part is untouched. *)
-  let tool_report_of cfg ~meth ~max_states ~jobs ~prune ~flow ~progress
-      ~reduce ~shared ?quotient_cache spec =
+  let tool_report_of cfg ~meth ~max_states ~jobs ~flow ~progress ~reduce
+      ?quotient_cache spec =
     let apa = Elaborate.apa_of_spec spec in
     (* the flow graph is rebuilt per request: it is cheap (no state
        space) and its attribution needs the located skeleton *)
@@ -471,9 +447,9 @@ module Exec = struct
              apa)
     in
     let tr =
-      Analysis.tool ~meth ~max_states ~jobs ~prune ?flow:flow_graph
+      Analysis.tool ~meth ~max_states ~jobs ?flow:flow_graph
         ?reduce:(reduce_plan ~reduce spec apa)
-        ~shared ?quotient_cache ?progress ~stakeholder:cfg.sv_stakeholder apa
+        ?quotient_cache ?progress ~stakeholder:cfg.sv_stakeholder apa
     in
     let rpt =
       Report.of_tool
@@ -481,17 +457,16 @@ module Exec = struct
         ~soses:(Elaborate.sos_list spec)
         ~alphabet:(Apa.rule_names apa)
         ~digest:(Elaborate.digest_of_spec ~parts:[ `Apa; `Models ] spec)
-        ~settings:
-          (report_settings ~meth ~shared ~reduce ~prune ~flow ~max_states)
+        ~settings:(report_settings ~meth ~reduce ~flow ~max_states)
         tr
     in
     (tr, rpt)
 
-  let run_requirements cfg ~meth ~max_states ~jobs ~prune ~flow ~progress
-      ~reduce ~shared ?quotient_cache spec =
+  let run_requirements cfg ~meth ~max_states ~jobs ~flow ~progress ~reduce
+      ?quotient_cache spec =
     let report, rpt =
-      tool_report_of cfg ~meth ~max_states ~jobs ~prune ~flow ~progress
-        ~reduce ~shared ?quotient_cache spec
+      tool_report_of cfg ~meth ~max_states ~jobs ~flow ~progress ~reduce
+        ?quotient_cache spec
     in
     let reduction =
       match report.Analysis.t_reduction with
@@ -553,8 +528,8 @@ module Exec = struct
      path when the spec elaborates instances (or the manual path for an
      explicitly named sos), otherwise the manual path over the declared
      functional models, mirroring [run_analyze]'s selection. *)
-  let run_report cfg ~meth ~max_states ~jobs ~prune ~flow ~progress ~reduce
-      ~shared ~sos ?quotient_cache spec =
+  let run_report cfg ~meth ~max_states ~jobs ~flow ~progress ~reduce ~sos
+      ?quotient_cache spec =
     let manual soses =
       let digest = Elaborate.digest_of_spec ~parts:[ `Models ] spec in
       List.map (fun s -> Report.of_manual ~digest s (Analysis.manual s)) soses
@@ -565,8 +540,8 @@ module Exec = struct
       | None ->
         if (Elaborate.env_of_spec spec).Elaborate.instances <> [] then
           let _, rpt =
-            tool_report_of cfg ~meth ~max_states ~jobs ~prune ~flow ~progress
-              ~reduce ~shared ?quotient_cache spec
+            tool_report_of cfg ~meth ~max_states ~jobs ~flow ~progress
+              ~reduce ?quotient_cache spec
           in
           [ rpt ]
         else manual (soses_of ~sos spec)
@@ -691,9 +666,8 @@ module Exec = struct
     | Check -> [ `Apa; `Checks; `Models ]
 
   let run cfg ~op ?(meth = Analysis.Abstract) ?(max_states = 1_000_000)
-      ?(jobs = 1) ?prune ?(flow = false) ?sos ?keep ?reduce ?(shared = true)
-      ?progress ?deadline_ns ?(cache = true) ~file spec =
-    let prune = Option.value prune ~default:cfg.sv_prune in
+      ?(jobs = 1) ?(flow = false) ?sos ?keep ?reduce ?progress ?deadline_ns
+      ?(cache = true) ~file spec =
     (* the effective reduction is what runs AND what keys the cache:
        verify ignores the POR half (unsound for arbitrary properties),
        so a [por] verify request shares the unreduced entry *)
@@ -710,7 +684,7 @@ module Exec = struct
          max_states, evicted outcome, …) *)
       let quotient_hook () =
         match (meth, if cache then cfg.sv_store else None) with
-        | Analysis.Abstract, Some st when shared ->
+        | Analysis.Abstract, Some st ->
           Some
             (quotient_cache st
                ~digest:(Elaborate.digest_of_spec ~parts:[ `Apa ] spec)
@@ -721,8 +695,8 @@ module Exec = struct
         match op with
         | Reach -> run_reach ~max_states ~jobs ~progress ~reduce spec
         | Requirements ->
-          run_requirements cfg ~meth ~max_states ~jobs ~prune ~flow ~progress
-            ~reduce ~shared
+          run_requirements cfg ~meth ~max_states ~jobs ~flow ~progress
+            ~reduce
             ?quotient_cache:(quotient_hook ())
             spec
         | Analyze -> run_analyze ~sos spec
@@ -730,8 +704,7 @@ module Exec = struct
         | Verify -> run_verify ~max_states ~jobs ~progress ~reduce spec
         | Check -> run_check ~file spec
         | Report ->
-          run_report cfg ~meth ~max_states ~jobs ~prune ~flow ~progress
-            ~reduce ~shared ~sos
+          run_report cfg ~meth ~max_states ~jobs ~flow ~progress ~reduce ~sos
             ?quotient_cache:(quotient_hook ())
             spec
       with Lts.State_space_too_large n ->
@@ -786,10 +759,8 @@ module Exec = struct
     | None -> fresh ()
     | Some st -> (
       let digest = Elaborate.digest_of_spec ~parts:(digest_parts op) spec in
-      (* [jobs] and [prune] are deliberately not part of the key: neither
-         may change the result (pruning only skips pairs whose dependence
-         is provably negative), so a cached unpruned outcome serves a
-         pruned request and vice versa *)
+      (* [jobs] is deliberately not part of the key: the explored graph
+         is identical at any job count *)
       let params =
         let ms = ("max_states", string_of_int max_states) in
         (* [reduce] IS part of the key: reduced runs report quotient
@@ -801,27 +772,24 @@ module Exec = struct
           | None -> []
           | Some k -> [ ("reduce", Sym.kind_to_string k) ]
         in
-        (* [flow] IS part of the requirements/report keys, unlike
-           [prune]: verdicts cannot change, but flow-pruned outcomes
-           attribute pairs ("pruned_by", settings, coverage) that
-           pre-flow entries — including any written before the member
-           existed — do not carry, so the two must never replay for
-           each other *)
+        (* [flow] IS part of the requirements/report keys: verdicts
+           cannot change, but flow-pruned outcomes attribute pairs
+           ("pruned_by", settings, coverage) that pre-flow entries —
+           including any written before the member existed — do not
+           carry, so the two must never replay for each other *)
         let fl = ("flow", if flow then "static-flow" else "none") in
+        (* the engine param keys outcomes away from other engine
+           generations (and pre-engine entries): their timing sections
+           differ even though verdicts are identical *)
+        let tool =
+          (ms :: rd)
+          @ [ ("method", meth_string meth); ("engine", engine_string meth); fl ]
+        in
         match op with
         | Reach -> ms :: rd
-        | Requirements ->
-          (* the engine param keys shared-pass outcomes away from
-             per-pair (and pre-engine) ones: their timing sections
-             differ even though verdicts are identical *)
-          (ms :: rd)
-          @ [ ("method", meth_string meth);
-              ("engine", engine_string ~meth ~shared); fl ]
+        | Requirements -> tool
         | Report ->
-          (ms :: rd)
-          @ [ ("method", meth_string meth);
-              ("engine", engine_string ~meth ~shared); fl ]
-          @ (match sos with Some s -> [ ("sos", s) ] | None -> [])
+          tool @ (match sos with Some s -> [ ("sos", s) ] | None -> [])
         | Analyze -> (
           match sos with Some s -> [ ("sos", s) ] | None -> [])
         | Abstract ->
@@ -969,19 +937,42 @@ let dump_worthy = function
   | "timeout" | "too_large" | "internal" -> true
   | _ -> false
 
-let req_str req k = Option.bind (Json.member k req) Json.to_str
-let req_int req k = Option.bind (Json.member k req) Json.to_int
-let req_bool req k = Option.bind (Json.member k req) Json.to_bool
+(* Optional request members.  An absent member takes its default; a
+   present member of the wrong JSON type is a bad request naming the
+   member — never silently the default. *)
+let mistyped k ty = Usage_error (Printf.sprintf "%S must be %s" k ty)
+
+let req_member conv ty req k =
+  match Json.member k req with
+  | None -> None
+  | Some v -> (
+    match conv v with Some _ as x -> x | None -> raise (mistyped k ty))
+
+let req_str = req_member Json.to_str "a string"
+let req_int = req_member Json.to_int "an integer"
+let req_bool = req_member Json.to_bool "a boolean"
 
 (* [keep] accepts both a JSON list of names and a comma-separated
    string, matching the CLI's --keep. *)
 let req_keep req =
+  let ty = "a list of strings or a comma-separated string" in
   match Json.member "keep" req with
+  | None -> None
   | Some (Json.List vs) ->
-    Some (List.filter_map Json.to_str vs)
+    Some
+      (List.map
+         (fun v ->
+           match Json.to_str v with
+           | Some s -> s
+           | None -> raise (mistyped "keep" ty))
+         vs)
   | Some (Json.Str s) ->
     Some (List.filter (( <> ) "") (String.split_on_char ',' s))
-  | _ -> None
+  | Some _ -> raise (mistyped "keep" ty)
+
+(* Read without validating, for what [handle_line] needs before the
+   request is handled; [handle_request] rejects the mistyped ones. *)
+let peek_str req k = Option.bind (Json.member k req) Json.to_str
 
 (* ------------------------------------------------------------------ *)
 (* The stats op                                                        *)
@@ -1047,19 +1038,22 @@ let stats_json cfg =
 
 let handle_request cfg ~trace_id req =
   let id = Option.value (Json.member "id" req) ~default:Json.Null in
-  if req_str req "op" = Some "stats" then
-    Json.Obj
-      [ ("id", id);
-        ("trace_id", Json.Str trace_id);
-        ("ok", Json.Bool true);
-        ("cached", Json.Bool false);
-        ("exit", Json.Int 0);
-        ("result", stats_json cfg) ]
-  else
   try
+    (* [handle_line] read the trace id leniently, as every response
+       needs one; a mistyped one still makes the request bad *)
+    ignore (req_str req "trace_id");
+    if req_str req "op" = Some "stats" then
+      Json.Obj
+        [ ("id", id);
+          ("trace_id", Json.Str trace_id);
+          ("ok", Json.Bool true);
+          ("cached", Json.Bool false);
+          ("exit", Json.Int 0);
+          ("result", stats_json cfg) ]
+    else
     let op =
       match req_str req "op" with
-      | None -> raise (Usage_error "missing or non-string \"op\"")
+      | None -> raise (Usage_error "missing \"op\"")
       | Some s -> (
         match Exec.op_of_string s with
         | Some op -> op
@@ -1114,10 +1108,8 @@ let handle_request cfg ~trace_id req =
                (Printf.sprintf "unknown reduce %S (sym|por|sym+por)" s)))
     in
     let outcome =
-      Exec.run cfg ~op ~meth ~max_states ?prune:(req_bool req "prune")
-        ?flow:(req_bool req "flow") ?sos:(req_str req "sos")
-        ?keep:(req_keep req) ?reduce
-        ?shared:(req_bool req "shared") ?deadline_ns
+      Exec.run cfg ~op ~meth ~max_states ?flow:(req_bool req "flow")
+        ?sos:(req_str req "sos") ?keep:(req_keep req) ?reduce ?deadline_ns
         ~cache:(Option.value (req_bool req "cache") ~default:true)
         ~file spec
     in
@@ -1140,7 +1132,7 @@ let handle_line ?(seq = -1) cfg line =
   let trace_id =
     match parsed with
     | Ok req -> (
-      match req_str req "trace_id" with
+      match peek_str req "trace_id" with
       | Some t when t <> "" -> t
       | _ -> gen_trace_id ())
     | Error _ -> gen_trace_id ()
@@ -1150,7 +1142,7 @@ let handle_line ?(seq = -1) cfg line =
     (if seq >= 0 then Printf.sprintf "seq=%d" seq else "request");
   let op_name =
     match parsed with
-    | Ok req -> Option.value (req_str req "op") ~default:"?"
+    | Ok req -> Option.value (peek_str req "op") ~default:"?"
     | Error _ -> "?"
   in
   let slot = my_slot () in

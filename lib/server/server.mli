@@ -19,20 +19,20 @@
     [op] is one of [reach], [requirements], [analyze], [abstract],
     [verify], [check], or the protocol-level [stats] (below); the model
     comes either inline ([source]) or from a file ([spec]).  Optional
-    members: [max_states] (clamped to the server's bound), [timeout_ms]
-    (clamped to the server's budget), [method] ([direct]|[abstract],
-    requirements only), [prune] (requirements only: skip dependence
-    tests for statically independent action pairs — never changes the
-    result), [reduce] ([sym]|[por]|[sym+por]: symmetry / partial-order
-    reduction on reach, requirements and verify; verify honours only
-    the symmetry half), [shared] (requirements only, default [true]:
-    answer all dependence pairs from the shared multi-pair abstraction
-    engine; [false] falls back to the legacy per-pair path — verdicts
-    and requirement reports are identical either way), [sos] (analyze),
-    [keep] (list of action names, abstract only), [cache] (set [false]
-    to bypass the store for one request) and [trace_id] (a
-    client-chosen identifier for the request's trace; one is generated
-    when absent).
+    members: [max_states] (integer, clamped to the server's bound),
+    [timeout_ms] (integer, clamped to the server's budget), [method]
+    ([direct]|[abstract], requirements and report), [flow] (boolean,
+    requirements and report: skip dependence tests for pairs the static
+    information-flow analysis proves independent — never changes the
+    verdicts), [reduce] ([sym]|[por]|[sym+por]: symmetry / partial-order
+    reduction on reach, requirements, report and verify; verify honours
+    only the symmetry half), [sos] (string, analyze and report), [keep]
+    (list of action names or a comma-separated string, abstract only),
+    [cache] (boolean; [false] bypasses the store for one request) and
+    [trace_id] (string, a client-chosen identifier for the request's
+    trace; one is generated when absent).  An absent member takes its
+    default; a present member of the wrong JSON type is answered with a
+    [bad_request] error naming it.
 
     Each response is a single line, in request order, echoing the
     request's trace id:
@@ -80,9 +80,6 @@ type config = {
   sv_store : Store.t option;  (** result cache; [None] disables caching *)
   sv_stakeholder : Action.t -> Agent.t;
       (** stakeholder assignment for the tool path (requirements) *)
-  sv_prune : bool;
-      (** default for static dependence pruning (requirements); requests
-          may override it with a ["prune"] member *)
   sv_flight_dir : string option;
       (** where to write flight-recorder dumps for requests ending in
           [timeout], [too_large] or [internal]; [None] disables dumps *)
@@ -98,14 +95,13 @@ val config :
   ?timeout_ms:int ->
   ?store:Store.t ->
   ?stakeholder:(Action.t -> Agent.t) ->
-  ?prune:bool ->
   ?flight_dir:string ->
   ?slow_ms:float ->
   unit ->
   config
 (** Defaults: 1 worker, 1_000_000 states, no timeout, no store, the
-    paper's default stakeholder assignment, no pruning, no flight dumps,
-    no slow-request threshold. *)
+    paper's default stakeholder assignment, no flight dumps, no
+    slow-request threshold. *)
 
 exception Request_timeout
 (** A request exceeded its wall-clock budget (checked cooperatively
@@ -142,12 +138,10 @@ module Exec : sig
     ?meth:Fsa_core.Analysis.dependence_method ->
     ?max_states:int ->
     ?jobs:int ->
-    ?prune:bool ->
     ?flow:bool ->
     ?sos:string ->
     ?keep:string list ->
     ?reduce:Fsa_sym.Sym.kind ->
-    ?shared:bool ->
     ?progress:Fsa_obs.Progress.t ->
     ?deadline_ns:int64 ->
     ?cache:bool ->
@@ -160,19 +154,16 @@ module Exec : sig
       never cached: its diagnostics carry source locations, which the
       location-free digest deliberately ignores.  Timeouts and other
       errors propagate as exceptions and are never cached.
-      [prune] (default [sv_prune]) enables static dependence pruning on
-      the requirements path; it cannot change the result and is
-      therefore not part of the cache key — a cached unpruned outcome
-      serves a pruned request and vice versa.
-      [flow] (default [false], request member ["flow"]) additionally
-      prunes with {!Fsa_flow.Flow} taint reachability on the
-      requirements and report paths; pairs it skips that static pruning
-      did not are attributed ["static-flow"] in the report coverage and
-      the per-pair ["pruned_by"] timing member.  Unlike [prune], [flow]
-      {e is} part of the requirements/report cache keys (a ["flow"]
-      param): verdicts cannot change, but flow-pruned outcomes carry
-      attribution that pre-flow entries lack, so the two never replay
-      for each other.
+      [jobs] is not part of the cache key: the explored graph is
+      identical at any job count.
+      [flow] (default [false], request member ["flow"]) prunes with
+      {!Fsa_flow.Flow} taint reachability on the requirements and
+      report paths; the pairs it skips are attributed ["static-flow"]
+      in the report coverage and the per-pair ["pruned_by"] timing
+      member.  [flow] {e is} part of the requirements/report cache keys
+      (a ["flow"] param): verdicts cannot change, but flow-pruned
+      outcomes carry attribution that unpruned entries lack, so the two
+      never replay for each other.
       [reduce] requests symmetry / partial-order reduction
       ({!Fsa_sym.Sym}) on the reach, requirements and verify paths; it
       {e is} part of the cache key, because reduced outcomes report
@@ -181,17 +172,17 @@ module Exec : sig
       POR-reduced graph is unsound for arbitrary properties, and the
       symmetry path model-checks the exact unfolded graph, so verify
       verdicts never depend on the reduction.
-      [shared] (default [true]) answers all requirements dependence
-      pairs from the shared multi-pair abstraction engine
-      ({!Fsa_core.Analysis.tool}[ ~shared]); it is part of the
-      requirements cache key (as an ["engine"] param, together with the
-      engine version), because shared-pass and per-pair outcomes carry
-      different timing sections even though verdicts are identical.
-      With a store configured, the shared intermediate quotient itself
-      is cached under kind ["quotient"], keyed by the APA digest, the
-      erased-alphabet digest, [max_states], the effective reduction and
-      the engine version — a later run over the same model reuses the
-      minimised automaton without re-walking the graph.
+      Under [meth = Abstract] (the default) the dependence pairs are
+      answered by the shared multi-pair abstraction engine
+      ({!Fsa_core.Analysis.tool}); the requirements and report cache
+      keys carry an ["engine"] param (the engine version, or
+      ["direct"]), so entries of another engine generation never
+      replay.  With a store configured, the shared intermediate
+      quotient itself is cached under kind ["quotient"], keyed by the
+      APA digest, the erased-alphabet digest, [max_states], the
+      effective reduction and the engine version — a later run over the
+      same model reuses the minimised automaton without re-walking the
+      graph.
       [Report] renders the {!Fsa_report.Report} view: the tool path
       when the spec elaborates instances (or the manual path for an
       explicitly named [sos]), otherwise the manual path over every

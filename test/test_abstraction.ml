@@ -1,10 +1,10 @@
-(* Tests for the shared multi-pair abstraction engine: verdict /
-   report / minimal-automaton equivalence with the legacy per-pair path
-   across every bundled example spec (x jobs x --reduce kind), the
-   on-the-fly early-decision pass, the quotient-cache hooks at the
-   analysis level, and the engine-versioned store keys at the server
-   level (pre-engine entries must never replay as shared-pass
-   results). *)
+(* Tests for the dependence engine: the tool path's matrix and
+   requirement set against the per-pair oracle across every bundled
+   example spec (x jobs x --reduce kind x method), the on-the-fly
+   early-decision pass, projected minimal automata, the quotient-cache
+   hooks at the analysis level, and the engine-versioned store keys at
+   the server level (pre-engine entries must never replay as
+   shared-pass results). *)
 
 module Action = Fsa_term.Action
 module Apa = Fsa_apa.Apa
@@ -24,52 +24,94 @@ module V = Fsa_vanet.Vehicle_apa
 let render r = Fmt.str "%a" Analysis.pp_tool_report r
 
 (* ------------------------------------------------------------------ *)
-(* Equivalence with the legacy per-pair path                           *)
+(* Equivalence with the per-pair oracle                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The legacy baseline is computed once per (model, reduction) at
-   jobs = 1: explore_par is bit-identical to the sequential exploration
-   (gated in test_lts), so the shared runs at jobs 2 and 4 compare
-   against the same reference. *)
-let check_shared_equals_legacy name ?guard_sig apa =
+let meth_name = function
+  | Analysis.Direct -> "direct"
+  | Analysis.Abstract -> "abstract"
+
+let pair_strings pairs =
+  List.sort compare
+    (List.map
+       (fun (mn, mx, d) -> (Action.to_string mn, Action.to_string mx, d))
+       pairs)
+
+(* The ground truth: every (min, max) pair of the unreduced graph, each
+   tested on its own by {!Analysis.dependence} ([Hom.depends_abstract]
+   or [Lts.depends_on]), and the requirements those verdicts give. *)
+let oracle ~meth ~stakeholder lts =
+  let set f = Action.Set.elements (f lts) in
+  let pairs =
+    List.concat_map
+      (fun mx ->
+        List.map
+          (fun mn ->
+            ( mn,
+              mx,
+              Analysis.dependence ~meth lts ~min_action:mn ~max_action:mx ))
+          (set Lts.minima))
+      (set Lts.maxima)
+  in
+  let requirements =
+    List.filter_map
+      (fun (mn, mx, d) ->
+        if d then
+          Some (Auth.make ~cause:mn ~effect:mx ~stakeholder:(stakeholder mx))
+        else None)
+      pairs
+    |> Auth.normalise
+  in
+  (pair_strings pairs, requirements)
+
+(* One oracle per (model, method), computed on the unreduced graph:
+   explore_par is bit-identical to the sequential exploration (gated in
+   test_lts) and the reductions must not change the matrix, so every
+   run of the tool path compares against the same reference, pruned
+   pairs included. *)
+let check_matches_oracle name ?guard_sig ?flow apa =
   let stakeholder = V.stakeholder in
+  let lts = Lts.explore ~max_states:1_000_000 apa in
   List.iter
-    (fun kind ->
-      let reduce = Option.map (fun k -> Sym.plan ?guard_sig k apa) kind in
-      let legacy = Analysis.tool ?reduce ~shared:false ~stakeholder apa in
-      Alcotest.(check bool)
-        (name ^ ": legacy path has no shared timing section")
-        true
-        (legacy.Analysis.t_timings.Analysis.ph_shared = None);
-      let legacy_report = render legacy in
+    (fun meth ->
+      let pairs, requirements = oracle ~meth ~stakeholder lts in
       List.iter
-        (fun jobs ->
-          let sh = Analysis.tool ~jobs ?reduce ~stakeholder apa in
-          let label =
-            Printf.sprintf "%s/--reduce %s/jobs %d" name
-              (match kind with
-              | None -> "none"
-              | Some k -> Sym.kind_to_string k)
-              jobs
-          in
-          Alcotest.(check string)
-            (label ^ ": rendered report byte-identical")
-            legacy_report (render sh);
-          Alcotest.(check bool)
-            (label ^ ": requirement sets identical")
-            true
-            (Auth.equal_set legacy.Analysis.t_requirements
-               sh.Analysis.t_requirements))
-        [ 1; 2; 4 ])
-    [ None; Some Sym.Sym; Some Sym.Sym_por ]
+        (fun kind ->
+          let reduce = Option.map (fun k -> Sym.plan ?guard_sig k apa) kind in
+          List.iter
+            (fun jobs ->
+              let r =
+                Analysis.tool ~meth ~jobs ?flow ?reduce ~stakeholder apa
+              in
+              let label =
+                Printf.sprintf "%s/%s/--reduce %s/jobs %d/flow %b" name
+                  (meth_name meth)
+                  (match kind with
+                  | None -> "none"
+                  | Some k -> Sym.kind_to_string k)
+                  jobs (flow <> None)
+              in
+              Alcotest.(check (list (triple string string bool)))
+                (label ^ ": matrix = per-pair oracle")
+                pairs
+                (pair_strings (Analysis.matrix_pairs r));
+              Alcotest.(check bool)
+                (label ^ ": requirements = per-pair oracle")
+                true
+                (Auth.equal_set requirements r.Analysis.t_requirements))
+            [ 1; 2; 4 ])
+        [ None; Some Sym.Sym; Some Sym.Sym_por ])
+    [ Analysis.Abstract; Analysis.Direct ]
 
 let test_shared_identical_vanet () =
-  check_shared_equals_legacy "two-vehicles" ~guard_sig:V.guard_attest
+  check_matches_oracle "two-vehicles" ~guard_sig:V.guard_attest
     (V.two_vehicles ());
-  check_shared_equals_legacy "four-vehicles" ~guard_sig:V.guard_attest
+  check_matches_oracle "four-vehicles" ~guard_sig:V.guard_attest
     (V.four_vehicles ())
 
-let test_shared_identical_specs () =
+(* Every bundled spec that elaborates instances, with its guard
+   signatures; [f] gets the file name, the spec and the guard lookup. *)
+let iter_example_specs f =
   match Test_check.spec_dir () with
   | None -> ()
   | Some dir ->
@@ -84,14 +126,17 @@ let test_shared_identical_specs () =
           | apa ->
             incr analysed;
             let sigs = Elaborate.guard_signatures spec in
-            let guard_sig n = List.assoc_opt n sigs in
-            check_shared_equals_legacy (Filename.basename path) ~guard_sig apa))
+            f (Filename.basename path) spec apa ~guard_sig:(fun n ->
+                List.assoc_opt n sigs)))
       (Test_check.example_files dir);
     Alcotest.(check bool) "at least one spec analysed" true (!analysed > 0)
 
+let test_shared_identical_specs () =
+  iter_example_specs (fun name _spec apa ~guard_sig ->
+      check_matches_oracle name ~guard_sig apa)
+
 (* The shared engine must actually answer the pairs: its timing section
-   is present and the per-pair rows keep only the compare stage (the
-   erase/determinise/minimise cost lives in the shared build). *)
+   is present and covers every minimum and maximum. *)
 let test_shared_timing_section () =
   let r = Analysis.tool ~stakeholder:V.stakeholder (V.four_vehicles ()) in
   match r.Analysis.t_timings.Analysis.ph_shared with
@@ -103,19 +148,12 @@ let test_shared_timing_section () =
       "alphabet covers minima and maxima" true
       (s.Analysis.sh_alphabet_size
       = List.length r.Analysis.t_minima + List.length r.Analysis.t_maxima);
-    List.iter
-      (fun pt ->
-        if not pt.Analysis.pt_pruned then (
-          Alcotest.(check bool)
-            "per-pair erase stage empty" true
-            (pt.Analysis.pt_erase_ns = 0L);
-          Alcotest.(check bool)
-            "per-pair determinise stage empty" true
-            (pt.Analysis.pt_determinise_ns = 0L);
-          Alcotest.(check bool)
-            "per-pair minimise stage empty" true
-            (pt.Analysis.pt_minimise_ns = 0L)))
-      r.Analysis.t_timings.Analysis.ph_pairs
+    Alcotest.(check bool)
+      "direct method builds no engine" true
+      ((Analysis.tool ~meth:Analysis.Direct ~stakeholder:V.stakeholder
+          (V.four_vehicles ()))
+         .Analysis.t_timings.Analysis.ph_shared
+      = None)
 
 (* ------------------------------------------------------------------ *)
 (* The engine itself: verdicts, projection, early decisions            *)
@@ -275,27 +313,42 @@ let with_store f () =
     ~finally:(fun () -> Test_store.rm_rf dir)
     (fun () -> f (Store.open_ ~dir ()) dir)
 
-(* Shared-pass and per-pair outcomes live under distinct keys (the
-   ["engine"] param): neither replays as the other, while both render
-   the identical human report. *)
+(* The default keys are pinned — stores written by earlier releases keep
+   hitting — and direct-method outcomes live under their own ["engine"]
+   param, so the two methods never replay for each other. *)
 let test_engine_cache_keys =
   with_store (fun st _dir ->
       let cfg = Server.config ~store:st () in
       let spec = parse Test_store.spec_text in
-      let run shared =
-        Exec.run cfg ~op:Exec.Requirements ~shared ~file:"a.fsa" spec
-      in
-      let o1 = run false in
-      Alcotest.(check bool) "legacy run computes" false o1.Exec.oc_cached;
-      let o2 = run false in
-      Alcotest.(check bool) "legacy outcome replays" true o2.Exec.oc_cached;
-      let o3 = run true in
-      Alcotest.(check bool) "legacy entry does not serve the shared engine"
-        false o3.Exec.oc_cached;
-      let o4 = run true in
-      Alcotest.(check bool) "shared outcome replays" true o4.Exec.oc_cached;
-      Alcotest.(check string) "reports identical across engines"
-        o1.Exec.oc_output o3.Exec.oc_output)
+      let digest = Elaborate.digest_of_spec ~parts:[ `Apa; `Models ] spec in
+      List.iter
+        (fun op ->
+          let kind = Exec.op_to_string op in
+          Store.add st
+            { Store.e_key =
+                Store.cache_key ~digest ~kind
+                  ~params:
+                    [ ("max_states", "1000000");
+                      ("method", "abstract");
+                      ("engine", "shared-v1");
+                      ("flow", "none") ];
+              e_kind = kind;
+              e_result = Json.Obj [];
+              e_output = "pinned entry";
+              e_exit = 0 };
+          let o = Exec.run cfg ~op ~file:"a.fsa" spec in
+          Alcotest.(check bool) (kind ^ ": default key hits") true
+            o.Exec.oc_cached;
+          Alcotest.(check string) (kind ^ ": pinned entry replays")
+            "pinned entry" o.Exec.oc_output;
+          let d1 = Exec.run cfg ~op ~meth:Analysis.Direct ~file:"a.fsa" spec in
+          Alcotest.(check bool)
+            (kind ^ ": abstract entry does not serve direct")
+            false d1.Exec.oc_cached;
+          let d2 = Exec.run cfg ~op ~meth:Analysis.Direct ~file:"a.fsa" spec in
+          Alcotest.(check bool) (kind ^ ": direct outcome replays") true
+            d2.Exec.oc_cached)
+        [ Exec.Requirements; Exec.Report ])
 
 (* An entry written under the pre-engine key format (no ["engine"]
    param — what earlier releases produced) must never replay as a

@@ -1,24 +1,20 @@
 (* Tests for the static information-flow analysis: soundness of
-   --prune-flow (requirements reports byte-identical with and without
-   the flow pruner across every bundled example spec x jobs x --reduce
-   kind x shared abstraction on/off), the guard-kill refinement, the
-   leak / unsanitized-flow diagnostics on the deliberately leaky
-   example, static-flow attribution of pruned pairs, and determinism of
-   the check --json diagnostic order under declaration permutation and
-   reformatting. *)
+   --prune-flow (matrix and requirements equal to the per-pair oracle
+   across every bundled example spec x jobs x --reduce kind x method),
+   the guard-kill refinement, the leak / unsanitized-flow diagnostics on
+   the deliberately leaky example, static-flow attribution of pruned
+   pairs, and determinism of the check --json diagnostic order under
+   declaration permutation and reformatting. *)
 
 module Apa = Fsa_apa.Apa
 module Sym = Fsa_sym.Sym
 module Analysis = Fsa_core.Analysis
-module Auth = Fsa_requirements.Auth
 module Parser = Fsa_spec.Parser
 module Elaborate = Fsa_spec.Elaborate
 module Flow = Fsa_flow.Flow
 module Check = Fsa_check.Check
 module D = Fsa_check.Diagnostic
 module V = Fsa_vanet.Vehicle_apa
-
-let render r = Fmt.str "%a" Analysis.pp_tool_report r
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
@@ -34,74 +30,15 @@ let flow_of spec apa =
 (* Soundness: --prune-flow never changes the derived requirements      *)
 (* ------------------------------------------------------------------ *)
 
-(* The baseline is one unpruned run per (model, reduction):
-   pp_tool_report prints no timings and only dependent matrix entries,
-   so it is invariant under jobs, engine and pruning — exactly the
-   byte-identity the pruner must preserve. *)
-let check_flow_sound name ?guard_sig ~flow apa =
-  let stakeholder = V.stakeholder in
-  List.iter
-    (fun kind ->
-      let reduce = Option.map (fun k -> Sym.plan ?guard_sig k apa) kind in
-      let base = Analysis.tool ?reduce ~stakeholder apa in
-      let base_report = render base in
-      List.iter
-        (fun jobs ->
-          List.iter
-            (fun shared ->
-              let pruned =
-                Analysis.tool ~jobs ?reduce ~shared ~flow ~stakeholder apa
-              in
-              let label =
-                Printf.sprintf "%s/--reduce %s/jobs %d/shared %b" name
-                  (match kind with
-                  | None -> "none"
-                  | Some k -> Sym.kind_to_string k)
-                  jobs shared
-              in
-              Alcotest.(check string)
-                (label ^ ": report byte-identical under --prune-flow")
-                base_report (render pruned);
-              Alcotest.(check bool)
-                (label ^ ": requirement sets identical")
-                true
-                (Auth.equal_set base.Analysis.t_requirements
-                   pruned.Analysis.t_requirements))
-            [ true; false ])
-        [ 1; 2; 4 ];
-      (* both pruners together: structural attribution wins, the
-         requirements still cannot change *)
-      let both =
-        Analysis.tool ?reduce ~prune:true ~flow ~stakeholder apa
-      in
-      Alcotest.(check string)
-        (name ^ ": report byte-identical under --prune-static --prune-flow")
-        base_report (render both))
-    [ None; Some Sym.Sym; Some Sym.Sym_por ]
-
+(* The flow-off half of this matrix is test_abstraction's. *)
 let test_flow_sound_specs () =
-  match Test_check.spec_dir () with
-  | None -> ()
-  | Some dir ->
-    let analysed = ref 0 in
-    List.iter
-      (fun path ->
-        match Parser.parse_file path with
-        | exception _ -> ()
-        | spec -> (
-          match Elaborate.apa_of_spec spec with
-          | exception (Fsa_spec.Loc.Error _ | Invalid_argument _) -> ()
-          | apa ->
-            incr analysed;
-            let sigs = Elaborate.guard_signatures spec in
-            let guard_sig n = List.assoc_opt n sigs in
-            check_flow_sound (Filename.basename path) ~guard_sig
-              ~flow:(flow_of spec apa) apa))
-      (Test_check.example_files dir);
-    Alcotest.(check bool) "at least one spec analysed" true (!analysed > 0)
+  Test_abstraction.iter_example_specs (fun name spec apa ~guard_sig ->
+      Test_abstraction.check_matches_oracle name ~guard_sig
+        ~flow:(flow_of spec apa) apa)
 
-(* Pairs only the flow pruner skips are attributed "static-flow"; with
-   the structural pruner also on, its "static" attribution wins. *)
+(* Pairs the flow pruner skips are attributed "static-flow"; under an
+   ample-set reduction, which forces the structural pruner on, its
+   "static" attribution wins. *)
 let leaky_source =
   {|
 component Gateway {
@@ -148,7 +85,10 @@ let test_static_flow_attribution () =
   List.iter
     (fun by -> Alcotest.(check string) "attributed static-flow" "static-flow" by)
     by;
-  let both = Analysis.tool ~prune:true ~flow ~stakeholder:V.stakeholder apa in
+  let por = Sym.plan Sym.Por apa in
+  Alcotest.(check bool) "the ample-set reduction applies" true
+    (Sym.ample_fn por <> None);
+  let both = Analysis.tool ~reduce:por ~flow ~stakeholder:V.stakeholder apa in
   List.iter
     (fun by -> Alcotest.(check string) "static wins attribution" "static" by)
     (pruned_by both);

@@ -210,8 +210,8 @@ let test_pp_class_unattributed () =
     (contains s "policy-induced (availability): p1" && contains s "p2")
 
 (* Build a tool-path report the way the server does, parameterised by
-   engine and reduction. *)
-let build_report ?reduce ?(shared = true) spec =
+   dependence method and reduction. *)
+let build_report ?reduce ?(meth = Analysis.Abstract) spec =
   let apa = Elaborate.apa_of_spec spec in
   let sigs = Elaborate.guard_signatures spec in
   let plan =
@@ -220,7 +220,7 @@ let build_report ?reduce ?(shared = true) spec =
       reduce
   in
   let tr =
-    Analysis.tool ?reduce:plan ~shared
+    Analysis.tool ?reduce:plan ~meth
       ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder apa
   in
   let rpt =
@@ -231,8 +231,14 @@ let build_report ?reduce ?(shared = true) spec =
       ~digest:(Elaborate.digest_of_spec ~parts:[ `Apa; `Models ] spec)
       ~settings:
         { R.sg_path = "tool";
-          sg_method = "abstract";
-          sg_engine = (if shared then "shared-v1" else "per-pair");
+          sg_method =
+            (match meth with
+            | Analysis.Abstract -> "abstract"
+            | Analysis.Direct -> "direct");
+          sg_engine =
+            (match meth with
+            | Analysis.Abstract -> "shared-v1"
+            | Analysis.Direct -> "direct");
           sg_reduce =
             (match reduce with
             | None -> "none"
@@ -259,7 +265,7 @@ let example_specs () =
 
 (* The report body (ids, digests, classes, scores, ranks, verification
    tags, endpoints, action traceability) is invariant across the
-   abstraction engine and every reduction kind: golden byte-for-byte on
+   dependence method and every reduction kind: golden byte-for-byte on
    both emitters.  Settings/pair-statistics blocks legitimately differ,
    which is exactly what [~body_only] excludes. *)
 let test_golden_across_configs () =
@@ -271,14 +277,16 @@ let test_golden_across_configs () =
       let base_json = R.to_json_string ~body_only:true base in
       let base_md = R.to_markdown ~body_only:true base in
       List.iter
-        (fun (reduce, shared) ->
-          let _, rpt = build_report ?reduce ~shared spec in
+        (fun (reduce, meth) ->
+          let _, rpt = build_report ?reduce ~meth spec in
           let label =
             Printf.sprintf "%s/--reduce %s/%s" name
               (match reduce with
               | None -> "none"
               | Some k -> Sym.kind_to_string k)
-              (if shared then "shared" else "legacy")
+              (match meth with
+              | Analysis.Abstract -> "abstract"
+              | Analysis.Direct -> "direct")
           in
           Alcotest.(check string)
             (label ^ ": JSON body golden") base_json
@@ -291,11 +299,11 @@ let test_golden_across_configs () =
             (label ^ ": ranks are a permutation of 1..n")
             (List.init (List.length ranks) (fun i -> i + 1))
             (List.sort compare ranks))
-        [ (None, false);
-          (Some Sym.Sym, true);
-          (Some Sym.Sym, false);
-          (Some Sym.Sym_por, true);
-          (Some Sym.Sym_por, false) ])
+        [ (None, Analysis.Direct);
+          (Some Sym.Sym, Analysis.Abstract);
+          (Some Sym.Sym, Analysis.Direct);
+          (Some Sym.Sym_por, Analysis.Abstract);
+          (Some Sym.Sym_por, Analysis.Direct) ])
     specs
 
 (* Two from-scratch runs over the same spec must agree byte-for-byte on

@@ -174,46 +174,61 @@ let test_exec_cache_jobs_and_reparse_independent =
   Alcotest.(check string) "bypass output agrees" o1.Exec.oc_output
     o3.Exec.oc_output
 
-(* Pruning may not affect results, so it is excluded from the cache key:
-   a cached unpruned requirements outcome must be served to a pruned
-   request, and vice versa. *)
-let test_exec_cache_ignores_prune =
+(* Every option that shapes a requirements or report outcome keys its
+   cache entry: a store-served result must equal a fresh run's under the
+   same options, for every combination, in one shared store (an option
+   left out of the key would replay a neighbour's entry here).  Only the
+   wall-clock "timings" member may differ. *)
+let test_cached_equals_fresh =
   with_store_dir @@ fun store ->
   let cfg = Server.config ~store () in
-  let spec () = Parser.parse_string spec_text in
-  let plain =
-    Exec.run cfg ~op:Exec.Requirements ~prune:false ~file:"a.fsa" (spec ())
+  let spec = Parser.parse_string spec_text in
+  let strip = function
+    | Json.Obj ms -> Json.Obj (List.remove_assoc "timings" ms)
+    | j -> j
   in
-  Alcotest.(check bool) "unpruned run computes" false plain.Exec.oc_cached;
-  let pruned =
-    Exec.run cfg ~op:Exec.Requirements ~prune:true ~file:"a.fsa" (spec ())
-  in
-  Alcotest.(check bool) "pruned request served from cache" true
-    pruned.Exec.oc_cached;
-  Alcotest.(check string) "identical replay" plain.Exec.oc_output
-    pruned.Exec.oc_output;
-  (* other direction, against a fresh store *)
-  let dir = Test_store.tmp_dir () in
-  Fun.protect
-    ~finally:(fun () -> Test_store.rm_rf dir)
-    (fun () ->
-      let cfg2 = Server.config ~store:(Store.open_ ~dir ()) () in
-      let pruned2 =
-        Exec.run cfg2 ~op:Exec.Requirements ~prune:true ~file:"a.fsa"
-          (spec ())
-      in
-      Alcotest.(check bool) "pruned run computes" false pruned2.Exec.oc_cached;
-      let plain2 =
-        Exec.run cfg2 ~op:Exec.Requirements ~prune:false ~file:"a.fsa"
-          (spec ())
-      in
-      Alcotest.(check bool) "unpruned request served from cache" true
-        plain2.Exec.oc_cached;
-      Alcotest.(check string) "identical replay" pruned2.Exec.oc_output
-        plain2.Exec.oc_output;
-      (* the pruned computation and the unpruned one agree byte for byte *)
-      Alcotest.(check string) "pruned result equals unpruned" plain.Exec.oc_output
-        pruned2.Exec.oc_output)
+  List.iter
+    (fun op ->
+      List.iter
+        (fun meth ->
+          List.iter
+            (fun flow ->
+              List.iter
+                (fun reduce ->
+                  let run ~cache =
+                    Exec.run cfg ~op ~meth ~flow ?reduce ~cache ~file:"a.fsa"
+                      spec
+                  in
+                  let label =
+                    Printf.sprintf "%s/%s/flow %b/reduce %s"
+                      (Exec.op_to_string op)
+                      (match meth with
+                      | Fsa_core.Analysis.Direct -> "direct"
+                      | Fsa_core.Analysis.Abstract -> "abstract")
+                      flow
+                      (Option.fold ~none:"none" ~some:Fsa_sym.Sym.kind_to_string
+                         reduce)
+                  in
+                  let first = run ~cache:true in
+                  let replay = run ~cache:true in
+                  let fresh = run ~cache:false in
+                  Alcotest.(check bool) (label ^ ": replay is a hit") true
+                    replay.Exec.oc_cached;
+                  Alcotest.(check string)
+                    (label ^ ": first stored result = fresh")
+                    (Json.to_string (strip fresh.Exec.oc_result))
+                    (Json.to_string (strip first.Exec.oc_result));
+                  Alcotest.(check string)
+                    (label ^ ": cached result = fresh")
+                    (Json.to_string (strip fresh.Exec.oc_result))
+                    (Json.to_string (strip replay.Exec.oc_result));
+                  Alcotest.(check string)
+                    (label ^ ": cached output = fresh") fresh.Exec.oc_output
+                    replay.Exec.oc_output)
+                [ None; Some Fsa_sym.Sym.Sym_por ])
+            [ false; true ])
+        [ Fsa_core.Analysis.Direct; Fsa_core.Analysis.Abstract ])
+    [ Exec.Requirements; Exec.Report ]
 
 (* A state-space overflow reaches the caller as [Too_large] carrying the
    structural growth hint naming the runaway components. *)
@@ -578,14 +593,49 @@ let test_concurrent_trace_trees =
       evs
   done
 
+(* A present member of the wrong JSON type is a bad request naming the
+   member, never a silent default (a string "3" must not mean "no
+   bound"). *)
+let test_mistyped_member (member, op, value) () =
+  let cfg = Server.config () in
+  let r =
+    parse_response
+      (Server.handle_line cfg (source_request ~id:7 ~op [ (member, value) ]))
+  in
+  Alcotest.(check (option string)) "bad_request" (Some "bad_request")
+    (error_kind r);
+  let message =
+    Option.bind (Json.member "error" r) (fun e ->
+        Option.bind (Json.member "message" e) Json.to_str)
+  in
+  Alcotest.(check bool) "message names the member" true
+    (match message with
+    | Some m -> contains m (Printf.sprintf "%S" member)
+    | None -> false);
+  Alcotest.(check bool) "a trace id is still echoed" true
+    (match Json.member "trace_id" r with
+    | Some (Json.Str t) -> t <> ""
+    | _ -> false)
+
+let mistyped_members =
+  [ ("max_states", "reach", Json.Str "3");
+    ("timeout_ms", "reach", Json.Str "1");
+    ("method", "requirements", Json.Int 1);
+    ("flow", "requirements", Json.Str "yes");
+    ("sos", "analyze", Json.Bool true);
+    ("keep", "abstract", Json.List [ Json.Str "V1_sense"; Json.Int 2 ]);
+    ("reduce", "reach", Json.Bool true);
+    ("cache", "reach", Json.Str "no");
+    ("trace_id", "reach", Json.Int 7) ]
+
 let suite =
   [ Alcotest.test_case "request round-trips" `Quick test_roundtrips;
     Alcotest.test_case "protocol errors" `Quick test_protocol_errors;
     Alcotest.test_case "timeout reply" `Quick test_timeout_reply;
     Alcotest.test_case "exec cache ignores jobs and reparse" `Quick
       test_exec_cache_jobs_and_reparse_independent;
-    Alcotest.test_case "exec cache ignores prune" `Quick
-      test_exec_cache_ignores_prune;
+    Alcotest.test_case "exec cache: cached = fresh" `Quick
+      test_cached_equals_fresh;
     Alcotest.test_case "too large carries growth hint" `Quick
       test_too_large_hint;
     Alcotest.test_case "exec caches verify failures" `Quick
@@ -605,3 +655,8 @@ let suite =
       test_flight_dump_on_timeout;
     Alcotest.test_case "concurrent trace trees" `Quick
       test_concurrent_trace_trees ]
+  @ List.map
+      (fun ((member, _, _) as case) ->
+        Alcotest.test_case ("mistyped " ^ member) `Quick
+          (test_mistyped_member case))
+      mistyped_members
