@@ -1227,11 +1227,20 @@ let bench_json path =
   (* sequential vs. parallel exploration throughput.  The parallel graph
      must be identical to the sequential one — a divergence is a
      correctness failure of explore_par, not a perf regression, and fails
-     the harness. *)
-  let jobs = 4 in
+     the harness.  [jobs] is clamped to the host's domains: more would
+     measure oversubscription. *)
+  let jobs = min 4 (Domain.recommended_domain_count ()) in
   let explorations =
     [ ("pairs-4", fun () -> V.pairs 4);
       ("grid", fun () -> Fsa_grid.Grid_apa.demand_response ()) ]
+    @ (match
+         List.find_opt Sys.file_exists
+           [ "examples/specs/evita_fleet.fsa"; "../examples/specs/evita_fleet.fsa" ]
+       with
+      | Some path ->
+        [ ("evita-fleet",
+           fun () -> Fsa_spec.Elaborate.apa_of_spec (Fsa_spec.Parser.parse_file path)) ]
+      | None -> [])
   in
   let exploration_rows =
     List.map
@@ -1246,6 +1255,9 @@ let bench_json path =
         let equal =
           Lts.nb_states seq = Lts.nb_states par
           && Lts.transitions seq = Lts.transitions par
+          && List.for_all
+               (fun i -> Apa.State.equal (Lts.state seq i) (Lts.state par i))
+               (List.init (Lts.nb_states seq) Fun.id)
         in
         if not equal then incr failures;
         (* run-to-run spread of the sequential exploration, as

@@ -9,12 +9,21 @@
 
 module Term = Fsa_term.Term
 module Action = Fsa_term.Action
-module Smap : Map.S with type key = string
 
-(** Global states: one set of ground terms per state component.  The
-    representation carries a memoized structural hash, so states are
-    hashed at most once however often the exploration's state table looks
-    them up. *)
+(** Global states: one set of ground terms per state component.
+
+    A state lives in a {e layout}: a fixed, name-sorted order of state
+    components whose term sets are interned to small ints.  Every APA
+    owns one layout, built on first use, and every state it produces
+    ({!initial_state}, {!step}) shares it: such a state is an int array of
+    set ids plus its hash, so hashing and equality are int-array
+    operations.  Hand-built states ({!State.empty}, {!State.set} of a
+    component the state lacks) get small private layouts.
+
+    The interface is by name.  {!State.get} of a component the layout
+    lacks is the empty set, and equality, hashing and ordering are
+    defined by [get]: an absent component and an empty one make the same
+    state.  States of different layouts compare by contents. *)
 module State : sig
   type t
 
@@ -28,7 +37,7 @@ module State : sig
   val equal : t -> t -> bool
 
   val hash : t -> int
-  (** Consistent with [equal]. *)
+  (** Consistent with [equal], across layouts too. *)
 
   val components : t -> string list
 
@@ -36,8 +45,10 @@ module State : sig
   (** [map ~comp ~term s] renames every component key through [comp] and
       rewrites every stored element through [term].  Used by symmetry
       reduction ({!Fsa_sym}) to apply a component permutation to a
-      global state; [comp] should be injective on the components of
-      [s]. *)
+      global state.  When [comp] permutes the components of [s]'s
+      layout, the result stays in that layout and only the sets [term]
+      changes are interned; otherwise the sets of colliding keys are
+      unioned into a state of a private layout. *)
 
   val pp : t Fmt.t
   val to_string : t -> string
@@ -118,7 +129,19 @@ val producers : t -> string -> rule list
 val initial_state : t -> State.t
 
 val step : t -> State.t -> (rule * Action.t * State.t) list
-(** All enabled transitions of all elementary automata in a state. *)
+(** All enabled transitions of all elementary automata in a state: rules
+    in declaration order, each rule's bindings in matching order.
+
+    Each rule's guard-filtered bindings are cached per content of its
+    neighbourhood N(r), keyed by the set ids of N(r)'s components.  A
+    rule is matched only on a neighbourhood content it has not seen;
+    otherwise its cached labels and successor patches are reused
+    ([apa.bindings_reused]), so a successor is an array copy plus a
+    patch.  Guards and label closures must be pure.  The caches belong
+    to the APA and are safe to share between domains.  A state of
+    another layout is first re-interned into the APA's by name.
+    @raise Invalid_argument if that state holds a non-empty component
+    the APA does not declare. *)
 
 val enabled_rules : t -> State.t -> rule list
 val is_deadlocked : t -> State.t -> bool

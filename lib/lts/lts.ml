@@ -98,11 +98,13 @@ let no_reduction = { rd_canon = Fun.id; rd_ample = (fun _ succs -> succs) }
 
 (* Keep transition lists deterministically ordered. *)
 let order_transition a b =
-  let c = Stdlib.compare a.t_src b.t_src in
+  let c = Int.compare a.t_src b.t_src in
   if c <> 0 then c
   else
-    let c = Action.compare a.t_label b.t_label in
-    if c <> 0 then c else Stdlib.compare a.t_dst b.t_dst
+    let c =
+      if a.t_label == b.t_label then 0 else Action.compare a.t_label b.t_label
+    in
+    if c <> 0 then c else Int.compare a.t_dst b.t_dst
 
 (* Shared final assembly: both the sequential and the parallel explorer
    hand their states (in canonical BFS order) and edges to this, so the
@@ -172,7 +174,7 @@ let explore ?(max_states = 1_000_000) ?(reduce = no_reduction) ?progress apa =
           | None ->
             let id = Buf.length states in
             if id >= max_states then raise (State_space_too_large max_states);
-            State_table.replace index dst id;
+            State_table.add index dst id;
             Buf.push states dst;
             id
         in

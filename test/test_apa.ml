@@ -31,6 +31,30 @@ let test_state_ops () =
   Alcotest.(check bool) "states with equal content equal" true
     (Apa.State.equal s (Apa.State.set "c" (set [ sym "a" ]) Apa.State.empty))
 
+(* An absent component and an empty one make the same state: equality,
+   hash and order follow [get], whichever layout the states live in. *)
+let test_absent_is_empty () =
+  let same what a b =
+    Alcotest.(check bool) (what ^ ": equal") true (Apa.State.equal a b);
+    Alcotest.(check int) (what ^ ": hash") (Apa.State.hash a) (Apa.State.hash b);
+    Alcotest.(check int) (what ^ ": compare") 0 (Apa.State.compare a b)
+  in
+  same "empty vs set-to-empty" Apa.State.empty
+    (Apa.State.set "c" Term.Set.empty Apa.State.empty);
+  let s = Apa.State.set "a" (set [ sym "x" ]) Apa.State.empty in
+  same "extra empty component" s (Apa.State.set "b" Term.Set.empty s);
+  same "emptied component" Apa.State.empty
+    (Apa.State.remove_elt "a" (sym "x") s);
+  let apa =
+    Apa.make
+      ~components:[ ("a", set [ sym "x" ]); ("b", Term.Set.empty) ]
+      ~rules:[] "layout"
+  in
+  same "APA state vs hand-built" (Apa.initial_state apa) s;
+  Alcotest.(check bool) "different contents differ" false
+    (Apa.State.equal (Apa.initial_state apa)
+       (Apa.State.set "b" (set [ sym "x" ]) s))
+
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -308,4 +332,5 @@ let suite =
     Alcotest.test_case "prefix" `Quick test_prefix;
     Alcotest.test_case "with_initial" `Quick test_with_initial;
     Alcotest.test_case "vehicle enabled rules" `Quick test_vehicle_enabled_rules;
-    Alcotest.test_case "rec ignores own messages" `Quick test_rec_ignores_own_messages ]
+    Alcotest.test_case "rec ignores own messages" `Quick test_rec_ignores_own_messages;
+    Alcotest.test_case "absent component is empty" `Quick test_absent_is_empty ]

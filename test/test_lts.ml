@@ -266,6 +266,49 @@ let test_par_state_space_bound () =
   | _ -> Alcotest.fail "bound must trigger"
   | exception Lts.State_space_too_large 5 -> ()
 
+(* Golden pins over the example specs that declare instances: state
+   count, transition count, and an MD5 digest of [Lts.dot] followed by
+   every state's [State.to_string] (one per line, in M-k order),
+   recorded with the earlier string-keyed state representation.  They
+   pin numbering, labels and state contents across any change of
+   representation; the parallel explorer must hit the same digest. *)
+let golden_digest lts =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Lts.dot lts);
+  for i = 0 to Lts.nb_states lts - 1 do
+    Buffer.add_string b (Apa.State.to_string (Lts.state lts i));
+    Buffer.add_char b '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_graphs () =
+  let dir =
+    match
+      List.find_opt Sys.file_exists [ "examples/specs"; "../../../examples/specs" ]
+    with
+    | Some dir -> dir
+    | None -> Alcotest.fail "examples/specs not found"
+  in
+  List.iter
+    (fun (file, states, transitions, digest) ->
+      let apa =
+        Fsa_spec.Elaborate.apa_of_spec
+          (Fsa_spec.Parser.parse_file (Filename.concat dir file))
+      in
+      let lts = Lts.explore apa in
+      Alcotest.(check int) (file ^ ": states") states (Lts.nb_states lts);
+      Alcotest.(check int) (file ^ ": transitions") transitions
+        (Lts.nb_transitions lts);
+      Alcotest.(check string) (file ^ ": digest") digest (golden_digest lts);
+      Alcotest.(check string) (file ^ ": parallel digest") digest
+        (golden_digest (Lts.explore_par ~jobs:2 apa)))
+    [ ("two_vehicles.fsa", 13, 19, "07aa87611c31d461311866417d04b9a7");
+      ("four_vehicles.fsa", 169, 494, "48571744bee9aa4daccb8333ad232a42");
+      ("platoon.fsa", 29, 157, "7b74453972c957909ff30bf9f4c0b817");
+      ("smart_grid.fsa", 80, 162, "9ddfa9452b5458691d41667127e7a3ab");
+      ("leaky_gateway.fsa", 10, 13, "423d89d593d75ff96911b292c476c754");
+      ("evita_fleet.fsa", 28561, 166972, "e0edf7100c66e70126e32be6fd29ff6b") ]
+
 let suite =
   [ Alcotest.test_case "two-vehicle graph (Fig. 7)" `Quick test_two_vehicle_graph;
     Alcotest.test_case "four-vehicle graph (Fig. 9)" `Quick test_four_vehicle_graph;
@@ -287,4 +330,6 @@ let suite =
     Alcotest.test_case "parallel = sequential (grid)" `Quick
       test_par_matches_seq_grid;
     Alcotest.test_case "parallel state space bound" `Quick
-      test_par_state_space_bound ]
+      test_par_state_space_bound;
+    Alcotest.test_case "golden graph pins (example specs)" `Quick
+      test_golden_graphs ]

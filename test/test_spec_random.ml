@@ -7,17 +7,25 @@ module Parser = Fsa_spec.Parser
 module Pretty = Fsa_spec.Pretty
 module Elaborate = Fsa_spec.Elaborate
 module Lts = Fsa_lts.Lts
+module Apa = Fsa_apa.Apa
+module Action = Fsa_term.Action
 
 (* Random token-passing components: a chain of [len] states; each rule
-   moves the token one step, optionally double-checking a config cell via
-   a non-consuming read and a guard. *)
+   moves a token one step, optionally double-checking a config cell via
+   a non-consuming read and a guard.  With a second token (equal to the
+   config cell's content, so the guard stops it) two tokens travel the
+   chain at once. *)
 let gen_component =
   let open QCheck2.Gen in
   let* len = int_range 1 4 in
   let* with_reads = bool in
   let* with_guards = bool in
+  let* two_tokens = bool in
   let items =
-    Ast.I_state ("s0", [ Ast.S_app ("tok", []) ])
+    Ast.I_state
+      ( "s0",
+        Ast.S_app ("tok", [])
+        :: (if two_tokens then [ Ast.S_app ("k", []) ] else []) )
     :: List.concat
          (List.init len (fun i ->
               [ Ast.I_state (Printf.sprintf "s%d" (i + 1), []) ]))
@@ -88,7 +96,45 @@ let prop_elaboration_total =
       | _ -> true
       | exception Fsa_spec.Loc.Error _ -> true)
 
+(* The binding caches are a pure optimisation.  On every reachable
+   state, the APA whose caches the exploration filled steps exactly as a
+   freshly elaborated one matching from scratch: same rules, labels and
+   successors, in the same order.  And the parallel explorer, on its own
+   fresh APA, rebuilds the sequential graph state for state. *)
+let prop_cached_step =
+  QCheck2.Test.make
+    ~name:"cached Apa.step = from-scratch match; explore_par = explore"
+    ~count:50 gen_spec (fun spec ->
+      match Elaborate.apa_of_spec spec with
+      | exception Fsa_spec.Loc.Error _ -> true
+      | apa ->
+        let lts = Lts.explore apa in
+        let ids = List.init (Lts.nb_states lts) Fun.id in
+        let same_step s =
+          let render (r, a, t) =
+            (Apa.rule_name r, Action.to_string a, Apa.State.to_string t)
+          in
+          let warm = Apa.step apa s in
+          let cold = Apa.step (Elaborate.apa_of_spec spec) s in
+          List.map render warm = List.map render cold
+          && List.for_all2
+               (fun (_, _, t) (_, _, t') -> Apa.State.equal t t')
+               warm cold
+        in
+        let par = Lts.explore_par ~jobs:2 (Elaborate.apa_of_spec spec) in
+        List.for_all (fun i -> same_step (Lts.state lts i)) ids
+        && Lts.nb_states par = Lts.nb_states lts
+        && Lts.transitions par = Lts.transitions lts
+        && List.for_all
+             (fun i ->
+               Apa.State.equal (Lts.state par i) (Lts.state lts i)
+               && String.equal
+                    (Apa.State.to_string (Lts.state par i))
+                    (Apa.State.to_string (Lts.state lts i)))
+             ids)
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_roundtrip_ast;
     QCheck_alcotest.to_alcotest prop_roundtrip_behaviour;
-    QCheck_alcotest.to_alcotest prop_elaboration_total ]
+    QCheck_alcotest.to_alcotest prop_elaboration_total;
+    QCheck_alcotest.to_alcotest prop_cached_step ]
