@@ -752,24 +752,6 @@ let bench_store () =
      \"warm_p50_ms\": %.3f, \"warm_p99_ms\": %.3f}"
     cold_ns warm_ns hit identical warm_reads warm_p50 warm_p99
 
-(* The tool path's wall time over the example systems. *)
-let bench_struct () =
-  let systems =
-    [ ("two-vehicles", V.stakeholder, fun () -> V.two_vehicles ());
-      ("four-vehicles", V.stakeholder, fun () -> V.four_vehicles ());
-      ("grid", Fsa_grid.Grid_apa.stakeholder,
-       fun () -> Fsa_grid.Grid_apa.demand_response ()) ]
-  in
-  List.map
-    (fun (name, stakeholder, mk) ->
-      let apa = mk () in
-      let t0 = Fsa_obs.Span.now_ns () in
-      ignore (Analysis.tool ~stakeholder apa);
-      let plain_ns = Int64.sub (Fsa_obs.Span.now_ns ()) t0 in
-      Fmt.pr "  %-24s plain %a@." name Fsa_obs.Span.pp_dur plain_ns;
-      Printf.sprintf "    \"%s\": {\"wall_ns_unpruned\": %Ld}" name plain_ns)
-    systems
-
 (* Provenance stamp: a benchmark number without the revision, host and
    core count that produced it cannot be compared against later runs. *)
 let bench_meta () =
@@ -1305,7 +1287,6 @@ let bench_json path =
           speedup p50 p99 equal)
       explorations
   in
-  let struct_rows = bench_struct () in
   let reduction_rows = bench_reduction () in
   let abstraction_row = bench_abstraction () in
   let report_row = bench_report () in
@@ -1325,8 +1306,6 @@ let bench_json path =
       output_string oc
         (Printf.sprintf "  \"exploration\": {\n    \"jobs\": %d,\n" jobs);
       output_string oc (String.concat ",\n" exploration_rows);
-      output_string oc "\n  },\n  \"struct\": {\n";
-      output_string oc (String.concat ",\n" struct_rows);
       output_string oc "\n  },\n  \"reduction\": {\n";
       output_string oc (String.concat ",\n" reduction_rows);
       output_string oc "\n  },\n  \"abstraction\": {\n";

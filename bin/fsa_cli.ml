@@ -38,17 +38,6 @@ let spec_arg =
   let doc = "Specification file (.fsa)." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"SPEC" ~doc)
 
-let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Explore the state space with $(docv) parallel domains; the \
-                 resulting graph (state numbering included) is identical to \
-                 the sequential exploration.")
-
-let explore ~max_states ?progress ~jobs apa =
-  if jobs > 1 then Lts.explore_par ~max_states ?progress ~jobs apa
-  else Lts.explore ~max_states ?progress apa
-
 (* Exit codes: 0 clean, 1 analysis failure / findings, 2 the input does
    not even parse or elaborate. *)
 let parse_exit = 2
@@ -150,6 +139,7 @@ let elaborate_apa ~file spec =
   Fsa_obs.Span.with_ ~cat:"core" "elaborate" @@ fun () ->
   try Fsa_spec.Elaborate.apa_of_spec spec with
   | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file loc msg
+  | Invalid_argument msg -> die_usage msg
 
 let explore_progress spec_path =
   Fsa_obs.Progress.stderr_reporter
@@ -162,21 +152,21 @@ let explore_progress spec_path =
 
 module Server = Fsa_server.Server
 
+module Exec = Server.Exec
+
 let max_states_arg =
-  Arg.(value & opt int 1_000_000
+  Arg.(value & opt int Exec.defaults.max_states
        & info [ "max-states" ] ~docv:"N"
            ~doc:"State bound (per request under $(b,serve), per file \
                  under $(b,batch)).")
 
-let flow_arg =
-  Arg.(value & flag
-       & info [ "prune-flow" ]
-           ~doc:"Skip the dependence test for action pairs the static \
-                 information-flow analysis (taint reachability over the \
-                 guard-refined def-use graph, see $(b,fsa flow)) proves \
-                 independent. Sound: the derived requirements are \
-                 identical to an unpruned run; the pruned pairs are \
-                 attributed static-flow in the report coverage.")
+let meth_conv =
+  let parse s =
+    match Exec.meth_of_string s with
+    | Some m -> Ok m
+    | None -> Error (`Msg (Printf.sprintf "unknown method %S (direct|abstract)" s))
+  in
+  Arg.conv (parse, fun ppf m -> Fmt.string ppf (Exec.meth_to_string m))
 
 let reduce_conv =
   let parse s =
@@ -188,6 +178,20 @@ let reduce_conv =
   let print ppf k = Fmt.string ppf (Sym.kind_to_string k) in
   Arg.conv (parse, print)
 
+let meth_arg =
+  Arg.(value & opt meth_conv Exec.defaults.meth
+       & info [ "method" ] ~doc:"Dependence test: direct or abstract.")
+
+let flow_arg =
+  Arg.(value & flag
+       & info [ "prune-flow" ]
+           ~doc:"Skip the dependence test for action pairs the static \
+                 information-flow analysis (taint reachability over the \
+                 guard-refined def-use graph, see $(b,fsa flow)) proves \
+                 independent. Sound: the derived requirements are \
+                 identical to an unpruned run; the pruned pairs are \
+                 attributed static-flow in the report coverage.")
+
 let reduce_arg =
   Arg.(value & opt (some reduce_conv) None
        & info [ "reduce" ] ~docv:"KIND"
@@ -198,6 +202,44 @@ let reduce_arg =
                  derived requirement set is identical to an unreduced run; \
                  models with custom action labels fall back to unreduced \
                  exploration. See $(b,fsa sym) for the detected orbits.")
+
+(* [sos] reads differently where it selects the manual path. *)
+let sos_arg op =
+  let doc =
+    match op with
+    | Exec.Report ->
+      "Report on the named sos declaration (manual path) instead of the \
+       elaborated APA model."
+    | _ -> "Analyse only the named sos declaration."
+  in
+  Arg.(value & opt (some string) None & info [ "sos" ] ~docv:"NAME" ~doc)
+
+let keep_arg =
+  Arg.(non_empty & opt (list string) []
+       & info [ "keep" ] ~docv:"ACTIONS"
+           ~doc:"Comma-separated transition names the homomorphism preserves.")
+
+(* One flag per [Exec.params] field, as a setter of that field. *)
+let field_arg op : Exec.field -> (Exec.params -> Exec.params) Term.t =
+  let set f arg = Term.(const f $ arg) in
+  function
+  | Exec.Meth -> set (fun meth p -> { p with Exec.meth }) meth_arg
+  | Exec.Max_states ->
+    set (fun max_states p -> { p with Exec.max_states }) max_states_arg
+  | Exec.Flow -> set (fun flow p -> { p with Exec.flow }) flow_arg
+  | Exec.Reduce -> set (fun reduce p -> { p with Exec.reduce }) reduce_arg
+  | Exec.Sos -> set (fun sos p -> { p with Exec.sos }) (sos_arg op)
+  | Exec.Keep -> set (fun keep p -> { p with Exec.keep = Some keep }) keep_arg
+
+(* The flags of [op]'s subcommand: one per field [Exec.fields] says the
+   op honours, except those in [without]; every other field keeps its
+   default. *)
+let params_term ?(without = []) op =
+  List.fold_left
+    (fun acc f ->
+      if List.mem f without then acc
+      else Term.(const (fun p set -> set p) $ acc $ field_arg op f))
+    (Term.const Exec.defaults) (Exec.fields op)
 
 let cache_arg =
   Arg.(value & flag
@@ -228,11 +270,20 @@ let open_store ~cache ~no_cache ~cache_dir =
     | store -> Some store
     | exception Sys_error msg -> or_die (Error msg)
 
-(* Run one analysis — a call of [Server.Exec.run], cache-aware when the
-   config carries a store — mapping analysis-level failures to the
-   CLI's exit-code conventions. *)
-let exec_or_die ~file run =
-  match run () with
+(* The --cache, --no-cache and --cache-dir flags of the cached
+   subcommands; the store opens when the command asks for it, after
+   the spec has loaded. *)
+let store_arg =
+  Term.(const (fun cache no_cache cache_dir () ->
+            open_store ~cache ~no_cache ~cache_dir)
+        $ cache_arg $ no_cache_arg $ cache_dir_arg)
+
+(* Run one analysis through [Exec.exec] — cache-aware when the store
+   flags open one — mapping analysis-level failures to the CLI's
+   exit-code conventions. *)
+let exec ?stakeholder ?progress ~store ~file op p spec =
+  let cfg = Server.config ?store:(store ()) ?stakeholder () in
+  match Exec.exec cfg ~op ?progress ~file p spec with
   | outcome -> outcome
   | exception Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file loc msg
   | exception Server.Usage_error msg -> die_usage msg
@@ -245,79 +296,11 @@ let exec_or_die ~file run =
 (* Print an outcome's human report; on a hit the marker goes to stderr
    so stdout stays byte-identical to a fresh run. *)
 let print_outcome outcome =
-  if outcome.Server.Exec.oc_cached then Fmt.epr "(cached)@.";
-  print_string outcome.Server.Exec.oc_output;
+  if outcome.Exec.oc_cached then Fmt.epr "(cached)@.";
+  print_string outcome.Exec.oc_output;
   outcome
 
-(* --------------------------------------------------------------- *)
-(* fsa reach                                                        *)
-(* --------------------------------------------------------------- *)
-
-let reach_cmd =
-  let run verbose spec_path max_states jobs reduce dot_out cache no_cache
-      cache_dir metrics_out trace_out =
-    setup_logs verbose;
-    with_obs ~metrics_out ~trace_out @@ fun () ->
-    let spec = load_spec spec_path in
-    match dot_out with
-    | Some _ ->
-      (* the DOT export needs the graph itself: bypass the cache *)
-      let apa = elaborate_apa ~file:spec_path spec in
-      let progress = explore_progress spec_path in
-      let lts =
-        match reduce with
-        | None -> explore ~max_states ~progress ~jobs apa
-        | Some kind ->
-          let sigs = Fsa_spec.Elaborate.guard_signatures spec in
-          let pl =
-            Sym.plan ~guard_sig:(fun r -> List.assoc_opt r sigs) kind apa
-          in
-          Analysis.quotient ~max_states ~jobs ~progress pl apa
-      in
-      Fmt.pr "%a@." Lts.pp_stats (Lts.stats lts);
-      Fmt.pr "%a@." Lts.pp_min_max lts;
-      Option.iter
-        (fun path -> write_or_print ~out:(Some path) (Lts.dot lts))
-        dot_out
-    | None ->
-      let store = open_store ~cache ~no_cache ~cache_dir in
-      let cfg = Server.config ?store () in
-      let progress = explore_progress spec_path in
-      ignore
-        (print_outcome
-           (exec_or_die ~file:spec_path (fun () ->
-                Server.Exec.run cfg ~op:Server.Exec.Reach ~max_states ~jobs
-                  ?reduce ~progress ~file:spec_path spec)))
-  in
-  let dot_out =
-    Arg.(value & opt (some string) None
-         & info [ "dot" ] ~docv:"FILE" ~doc:"Write the reachability graph as DOT.")
-  in
-  Cmd.v
-    (Cmd.info "reach" ~doc:"Compute the reachability graph of a specification's APA model.")
-    Term.(const run $ verbose_arg $ spec_arg $ max_states_arg $ jobs_arg
-          $ reduce_arg $ dot_out $ cache_arg $ no_cache_arg $ cache_dir_arg
-          $ metrics_out_arg $ trace_out_arg)
-
-(* --------------------------------------------------------------- *)
-(* fsa requirements                                                 *)
-(* --------------------------------------------------------------- *)
-
-let meth_conv =
-  let parse = function
-    | "direct" -> Ok Analysis.Direct
-    | "abstract" -> Ok Analysis.Abstract
-    | s -> Error (`Msg (Printf.sprintf "unknown method %S (direct|abstract)" s))
-  in
-  let print ppf = function
-    | Analysis.Direct -> Fmt.string ppf "direct"
-    | Analysis.Abstract -> Fmt.string ppf "abstract"
-  in
-  Arg.conv (parse, print)
-
-let meth_arg =
-  Arg.(value & opt meth_conv Analysis.Abstract
-       & info [ "method" ] ~doc:"Dependence test: direct or abstract.")
+let result_json outcome = Fsa_store.Json.to_string outcome.Exec.oc_result ^ "\n"
 
 let out_json_arg =
   Arg.(value & opt (some string) None
@@ -325,43 +308,78 @@ let out_json_arg =
            ~doc:"Write the structured JSON result to $(docv) (atomic \
                  temp+rename write); the human report still goes to stdout.")
 
-let requirements_cmd =
-  let run verbose spec_path meth max_states jobs flow reduce out cache
-      no_cache cache_dir metrics_out trace_out =
+let write_result ~out outcome =
+  Option.iter (fun path -> write_atomic ~path (result_json outcome)) out
+
+(* --------------------------------------------------------------- *)
+(* fsa reach                                                        *)
+(* --------------------------------------------------------------- *)
+
+let reach_cmd =
+  let run verbose spec_path p dot_out store metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     let spec = load_spec spec_path in
-    let store = open_store ~cache ~no_cache ~cache_dir in
-    let cfg =
-      Server.config ?store ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder ()
-    in
     let progress = explore_progress spec_path in
-    let outcome =
-      print_outcome
-        (exec_or_die ~file:spec_path (fun () ->
-             Server.Exec.run cfg ~op:Server.Exec.Requirements ~meth
-               ~max_states ~jobs ~flow ?reduce ~progress ~file:spec_path spec))
-    in
-    Option.iter
-      (fun path ->
-        write_atomic ~path
-          (Fsa_store.Json.to_string outcome.Server.Exec.oc_result ^ "\n"))
-      out
+    match dot_out with
+    | Some path ->
+      (* the DOT export needs the graph itself: bypass the cache *)
+      let apa = elaborate_apa ~file:spec_path spec in
+      let max_states = p.Exec.max_states in
+      let lts =
+        match p.Exec.reduce with
+        | None -> Lts.explore ~max_states ~progress apa
+        | Some kind ->
+          let sigs = Fsa_spec.Elaborate.guard_signatures spec in
+          let pl =
+            Sym.plan ~guard_sig:(fun r -> List.assoc_opt r sigs) kind apa
+          in
+          Analysis.quotient ~max_states ~progress pl apa
+      in
+      Fmt.pr "%a@." Lts.pp_stats (Lts.stats lts);
+      Fmt.pr "%a@." Lts.pp_min_max lts;
+      write_or_print ~out:(Some path) (Lts.dot lts)
+    | None ->
+      ignore
+        (print_outcome
+           (exec ~progress ~store ~file:spec_path Exec.Reach p spec))
+  in
+  let dot_out =
+    Arg.(value & opt (some string) None
+         & info [ "dot" ] ~docv:"FILE" ~doc:"Write the reachability graph as DOT.")
+  in
+  Cmd.v
+    (Cmd.info "reach" ~doc:"Compute the reachability graph of a specification's APA model.")
+    Term.(const run $ verbose_arg $ spec_arg $ params_term Exec.Reach
+          $ dot_out $ store_arg $ metrics_out_arg $ trace_out_arg)
+
+(* --------------------------------------------------------------- *)
+(* fsa requirements                                                 *)
+(* --------------------------------------------------------------- *)
+
+let requirements_cmd =
+  let run verbose spec_path p out store metrics_out trace_out =
+    setup_logs verbose;
+    with_obs ~metrics_out ~trace_out @@ fun () ->
+    let spec = load_spec spec_path in
+    print_outcome
+      (exec ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder
+         ~progress:(explore_progress spec_path) ~store ~file:spec_path
+         Exec.Requirements p spec)
+    |> write_result ~out
   in
   Cmd.v
     (Cmd.info "requirements"
        ~doc:"Derive authenticity requirements from a specification's APA model (tool path).")
-    Term.(const run $ verbose_arg $ spec_arg $ meth_arg $ max_states_arg
-          $ jobs_arg $ flow_arg $ reduce_arg $ out_json_arg $ cache_arg
-          $ no_cache_arg $ cache_dir_arg $ metrics_out_arg $ trace_out_arg)
+    Term.(const run $ verbose_arg $ spec_arg $ params_term Exec.Requirements
+          $ out_json_arg $ store_arg $ metrics_out_arg $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa analyze (manual path over sos declarations)                  *)
 (* --------------------------------------------------------------- *)
 
 let analyze_cmd =
-  let run verbose spec_path sos_name cache no_cache cache_dir metrics_out
-      trace_out =
+  let run verbose spec_path p store metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     let spec = load_spec spec_path in
@@ -370,37 +388,24 @@ let analyze_cmd =
     (match Fsa_check.Check.spec ~file:spec_path spec with
     | [] -> ()
     | ds -> List.iter (fun d -> Fmt.epr "%a@." Fsa_check.Diagnostic.pp d) ds);
-    let store = open_store ~cache ~no_cache ~cache_dir in
-    let cfg = Server.config ?store () in
-    ignore
-      (print_outcome
-         (exec_or_die ~file:spec_path (fun () ->
-              Server.Exec.run cfg ~op:Server.Exec.Analyze ?sos:sos_name
-                ~file:spec_path spec)))
-  in
-  let sos_name =
-    Arg.(value & opt (some string) None
-         & info [ "sos" ] ~docv:"NAME" ~doc:"Analyse only the named sos declaration.")
+    ignore (print_outcome (exec ~store ~file:spec_path Exec.Analyze p spec))
   in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Derive authenticity requirements from functional models (manual path).")
-    Term.(const run $ verbose_arg $ spec_arg $ sos_name $ cache_arg
-          $ no_cache_arg $ cache_dir_arg $ metrics_out_arg $ trace_out_arg)
+    Term.(const run $ verbose_arg $ spec_arg $ params_term Exec.Analyze
+          $ store_arg $ metrics_out_arg $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa abstract                                                     *)
 (* --------------------------------------------------------------- *)
 
 let abstract_cmd =
-  let run verbose spec_path keep rename jobs dot_out out cache no_cache
-      cache_dir =
+  let run verbose spec_path p rename dot_out out store =
     setup_logs verbose;
     let spec = load_spec spec_path in
-    let apa =
-      try Fsa_spec.Elaborate.apa_of_spec spec with
-      | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file:spec_path loc msg
-    in
+    let keep = Option.value p.Exec.keep ~default:[] in
+    let apa = elaborate_apa ~file:spec_path spec in
     let rename_pairs =
       List.map
         (fun kv ->
@@ -435,7 +440,7 @@ let abstract_cmd =
     | Some _, _ | None, _ :: _ ->
       (* DOT export needs the automaton itself and the cached executor
          knows nothing of renamings: bypass the cache *)
-      let lts = explore ~max_states:1_000_000 ~jobs apa in
+      let lts = Lts.explore ~max_states:p.Exec.max_states apa in
       let actions = List.map Action.make keep in
       let h =
         match rename_pairs with
@@ -466,24 +471,8 @@ let abstract_cmd =
         (fun path -> write_or_print ~out:(Some path) (Hom.A.Dfa.dot dfa))
         dot_out
     | None, [] ->
-      let store = open_store ~cache ~no_cache ~cache_dir in
-      let cfg = Server.config ?store () in
-      let outcome =
-        print_outcome
-          (exec_or_die ~file:spec_path (fun () ->
-               Server.Exec.run cfg ~op:Server.Exec.Abstract ~keep ~jobs
-                 ~file:spec_path spec))
-      in
-      Option.iter
-        (fun path ->
-          write_atomic ~path
-            (Fsa_store.Json.to_string outcome.Server.Exec.oc_result ^ "\n"))
-        out
-  in
-  let keep =
-    Arg.(non_empty & opt (list string) []
-         & info [ "keep" ] ~docv:"ACTIONS"
-             ~doc:"Comma-separated transition names the homomorphism preserves.")
+      print_outcome (exec ~store ~file:spec_path Exec.Abstract p spec)
+      |> write_result ~out
   in
   let rename =
     Arg.(value & opt (list string) []
@@ -500,8 +489,9 @@ let abstract_cmd =
   Cmd.v
     (Cmd.info "abstract"
        ~doc:"Compute the minimal automaton of a homomorphic image (Sect. 5.5).")
-    Term.(const run $ verbose_arg $ spec_arg $ keep $ rename $ jobs_arg
-          $ dot_out $ out_json_arg $ cache_arg $ no_cache_arg $ cache_dir_arg)
+    Term.(const run $ verbose_arg $ spec_arg
+          $ params_term ~without:[ Exec.Max_states ] Exec.Abstract
+          $ rename $ dot_out $ out_json_arg $ store_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa scenario                                                     *)
@@ -662,10 +652,7 @@ let simulate_cmd =
   let run verbose spec_path seed monitor =
     setup_logs verbose;
     let spec = load_spec spec_path in
-    let apa =
-      try Fsa_spec.Elaborate.apa_of_spec spec with
-      | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file:spec_path loc msg
-    in
+    let apa = elaborate_apa ~file:spec_path spec in
     let sim = Fsa_sim.Sim.create ~seed apa in
     if monitor then begin
       let report =
@@ -1042,23 +1029,18 @@ let flow_cmd =
 (* --------------------------------------------------------------- *)
 
 let verify_cmd =
-  let run verbose spec_path jobs reduce cache no_cache cache_dir =
+  let run verbose spec_path p store =
     setup_logs verbose;
     let spec = load_spec spec_path in
-    let store = open_store ~cache ~no_cache ~cache_dir in
-    let cfg = Server.config ?store () in
     let outcome =
-      print_outcome
-        (exec_or_die ~file:spec_path (fun () ->
-             Server.Exec.run cfg ~op:Server.Exec.Verify ~jobs ?reduce
-               ~file:spec_path spec))
+      print_outcome (exec ~store ~file:spec_path Exec.Verify p spec)
     in
-    if outcome.Server.Exec.oc_exit <> 0 then begin
-      (match Fsa_store.Json.member "failed" outcome.Server.Exec.oc_result with
+    if outcome.Exec.oc_exit <> 0 then begin
+      (match Fsa_store.Json.member "failed" outcome.Exec.oc_result with
       | Some (Fsa_store.Json.Int n) ->
         Fmt.epr "fsa: %d check(s) failed@." n
       | _ -> ());
-      exit outcome.Server.Exec.oc_exit
+      exit outcome.Exec.oc_exit
     end
   in
   Cmd.v
@@ -1066,8 +1048,9 @@ let verify_cmd =
        ~doc:"Evaluate a specification's check declarations against its \
              behaviour (explores the state space; see $(b,check) for the \
              static analysis).")
-    Term.(const run $ verbose_arg $ spec_arg $ jobs_arg $ reduce_arg
-          $ cache_arg $ no_cache_arg $ cache_dir_arg)
+    Term.(const run $ verbose_arg $ spec_arg
+          $ params_term ~without:[ Exec.Max_states ] Exec.Verify
+          $ store_arg)
 
 (* --------------------------------------------------------------- *)
 (* fsa monitor                                                      *)
@@ -1077,10 +1060,7 @@ let monitor_cmd =
   let run verbose spec_path trace_path =
     setup_logs verbose;
     let spec = load_spec spec_path in
-    let apa =
-      try Fsa_spec.Elaborate.apa_of_spec spec with
-      | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file:spec_path loc msg
-    in
+    let apa = elaborate_apa ~file:spec_path spec in
     let report =
       Analysis.tool ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder apa
     in
@@ -1123,28 +1103,20 @@ let monitor_cmd =
 (* --------------------------------------------------------------- *)
 
 let report_cmd =
-  let run verbose spec_path format sos_name out meth max_states jobs flow
-      reduce cache no_cache cache_dir metrics_out trace_out =
+  let run verbose spec_path format out p store metrics_out trace_out =
     setup_logs verbose;
     with_obs ~metrics_out ~trace_out @@ fun () ->
     let spec = load_spec spec_path in
-    let store = open_store ~cache ~no_cache ~cache_dir in
-    let cfg =
-      Server.config ?store ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder ()
-    in
-    let progress = explore_progress spec_path in
     let outcome =
-      exec_or_die ~file:spec_path (fun () ->
-          Server.Exec.run cfg ~op:Server.Exec.Report ~meth ~max_states ~jobs
-            ~flow ?sos:sos_name ?reduce ~progress ~file:spec_path spec)
+      exec ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder
+        ~progress:(explore_progress spec_path) ~store ~file:spec_path
+        Exec.Report p spec
     in
-    if outcome.Server.Exec.oc_cached then Fmt.epr "(cached)@.";
-    let content =
-      match format with
-      | `Md -> outcome.Server.Exec.oc_output
-      | `Json -> Fsa_store.Json.to_string outcome.Server.Exec.oc_result ^ "\n"
-    in
-    write_out ~out content
+    if outcome.Exec.oc_cached then Fmt.epr "(cached)@.";
+    write_out ~out
+      (match format with
+      | `Md -> outcome.Exec.oc_output
+      | `Json -> result_json outcome)
   in
   let format =
     Arg.(value
@@ -1152,12 +1124,6 @@ let report_cmd =
          & info [ "format" ] ~docv:"FORMAT"
              ~doc:"Output format: $(b,md) (default) or $(b,json) (the \
                    deterministic fsa-report/1 document).")
-  in
-  let sos_name =
-    Arg.(value & opt (some string) None
-         & info [ "sos" ] ~docv:"NAME"
-             ~doc:"Report on the named sos declaration (manual path) \
-                   instead of the elaborated APA model.")
   in
   let out =
     Arg.(value & opt (some string) None
@@ -1170,9 +1136,8 @@ let report_cmd =
        ~doc:"Render the requirements report: stable SR-* identifiers, \
              provenance, traceability matrix, coverage and verification \
              tags (deterministic Markdown or JSON).")
-    Term.(const run $ verbose_arg $ spec_arg $ format $ sos_name $ out
-          $ meth_arg $ max_states_arg $ jobs_arg $ flow_arg $ reduce_arg
-          $ cache_arg $ no_cache_arg $ cache_dir_arg $ metrics_out_arg
+    Term.(const run $ verbose_arg $ spec_arg $ format $ out
+          $ params_term Exec.Report $ store_arg $ metrics_out_arg
           $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
@@ -1259,7 +1224,14 @@ let diff_cmd =
 (* fsa serve                                                        *)
 (* --------------------------------------------------------------- *)
 
-let op_names = "reach|requirements|analyze|abstract|verify|check|report"
+let op_names = List.map Exec.op_to_string Exec.all_ops
+
+(* "a, b or c" *)
+let or_list names =
+  match List.rev names with
+  | last :: (_ :: _ as rest) ->
+    String.concat ", " (List.rev rest) ^ " or " ^ last
+  | _ -> String.concat "" names
 
 let serve_cmd =
   let run verbose socket workers timeout_ms max_states no_cache cache_dir
@@ -1313,11 +1285,13 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Serve analysis requests as newline-delimited JSON, one \
-             request per line (op: reach, requirements, analyze, \
-             abstract, verify, check or stats), from stdin or a \
-             Unix-domain socket.  SIGTERM drains in-flight requests and \
-             exits.  $(b,fsa stats) queries a running daemon.")
+       ~doc:
+         (Printf.sprintf
+            "Serve analysis requests as newline-delimited JSON, one \
+             request per line (op: %s), from stdin or a Unix-domain \
+             socket.  SIGTERM drains in-flight requests and exits.  \
+             $(b,fsa stats) queries a running daemon."
+            (or_list (op_names @ [ "stats" ]))))
     Term.(const run $ verbose_arg $ socket $ workers $ timeout_ms
           $ max_states_arg $ no_cache_arg $ cache_dir_arg $ flight_dir
           $ slow_ms $ metrics_out_arg $ trace_out_arg)
@@ -1334,10 +1308,12 @@ let batch_cmd =
        it: [die_usage] and [exit] do not unwind [Fun.protect], so either
        one inside the body would skip the metrics/trace dumps *)
     let op =
-      match Server.Exec.op_of_string op_name with
+      match Exec.op_of_string op_name with
       | Some op -> op
       | None ->
-        die_usage (Printf.sprintf "unknown op %S (%s)" op_name op_names)
+        die_usage
+          (Printf.sprintf "unknown op %S (%s)" op_name
+             (String.concat "|" op_names))
     in
     let code =
       with_obs ~metrics_out ~trace_out @@ fun () ->
@@ -1354,8 +1330,12 @@ let batch_cmd =
   let op_name =
     Arg.(value & opt string "requirements"
          & info [ "op" ] ~docv:"OP"
-             ~doc:"Analysis to run over each file: reach, requirements, \
-                   analyze, abstract, verify or check.")
+             ~doc:("Analysis to run over each file: " ^ or_list op_names ^ "."))
+  in
+  let jobs =
+    Arg.(value & opt int 1
+         & info [ "jobs"; "j" ] ~docv:"N"
+             ~doc:"Analyse $(docv) files in parallel, one domain each.")
   in
   let timeout_ms =
     Arg.(value & opt int 0
@@ -1371,7 +1351,7 @@ let batch_cmd =
        ~doc:"Run one analysis over many specification files in parallel, \
              cache-aware; prints one JSON result line per file, in input \
              order.")
-    Term.(const run $ verbose_arg $ op_name $ jobs_arg $ max_states_arg
+    Term.(const run $ verbose_arg $ op_name $ jobs $ max_states_arg
           $ timeout_ms $ no_cache_arg $ cache_dir_arg $ metrics_out_arg
           $ trace_out_arg $ specs_arg)
 

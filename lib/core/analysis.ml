@@ -231,10 +231,8 @@ let reduction_hooks pl =
   { Lts.rd_canon = Option.value (Sym.canon_fn pl) ~default:Fun.id;
     rd_ample = Option.value (Sym.ample_fn pl) ~default:(fun _ succs -> succs) }
 
-let quotient ?(max_states = 1_000_000) ?(jobs = 1) ?progress pl apa =
-  let reduce = reduction_hooks pl in
-  if jobs > 1 then Lts.explore_par ~max_states ~reduce ?progress ~jobs apa
-  else Lts.explore ~max_states ~reduce ?progress apa
+let quotient ?(max_states = 1_000_000) ?progress pl apa =
+  Lts.explore ~max_states ~reduce:(reduction_hooks pl) ?progress apa
 
 (* Exact maxima of the FULL graph, recovered module-locally.
 
@@ -372,8 +370,8 @@ let unfolded ?(max_states = 1_000_000) pl apa =
   in
   (Lts.of_graph ~name:(Apa.name apa) ~states edges, reps, rep_transitions)
 
-let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?(jobs = 1) ?flow
-    ?reduce ?quotient_cache ?progress ~stakeholder apa =
+let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?flow ?reduce
+    ?quotient_cache ?progress ~stakeholder apa =
   Span.with_ ~cat:"core" "tool" @@ fun () ->
   let timed f =
     let t0 = Span.now_ns () in
@@ -408,10 +406,8 @@ let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?(jobs = 1) ?flow
           lts
         | Some pl ->
           (* partial order only: the reduced graph is analysed as-is *)
-          quotient ~max_states ~jobs ?progress pl apa
-        | None ->
-          if jobs > 1 then Lts.explore_par ~max_states ?progress ~jobs apa
-          else Lts.explore ~max_states ?progress apa)
+          quotient ~max_states ?progress pl apa
+        | None -> Lts.explore ~max_states ?progress apa)
   in
   (* An active ample-set reduction drops interleavings of rules from
      different interference modules, with two consequences downstream:

@@ -137,7 +137,6 @@ type quotient_cache = {
 
 val quotient :
   ?max_states:int ->
-  ?jobs:int ->
   ?progress:Fsa_obs.Progress.t ->
   Fsa_sym.Sym.plan ->
   Fsa_apa.Apa.t ->
@@ -173,7 +172,6 @@ val unfolded :
 val tool :
   ?meth:dependence_method ->
   ?max_states:int ->
-  ?jobs:int ->
   ?flow:Fsa_flow.Flow.t ->
   ?reduce:Fsa_sym.Sym.plan ->
   ?quotient_cache:quotient_cache ->
@@ -184,9 +182,8 @@ val tool :
 (** With observability enabled ({!Fsa_obs.Metrics.set_enabled}), each
     pipeline phase runs inside its own span ([tool.explore],
     [tool.min_max], [tool.dependence_matrix], [tool.derive]);
-    [progress] is threaded through the state-space exploration.  With
-    [jobs > 1] the exploration runs on {!Lts.explore_par} over that many
-    domains — the resulting graph is identical to the sequential one.
+    [progress] is threaded through the state-space exploration, which is
+    always the sequential {!Lts.explore}.
 
     [meth] (default [Abstract]) picks the dependence test.  [Abstract]
     answers all surviving (min, max) pairs from one shared abstraction
@@ -219,9 +216,7 @@ val tool :
     (pairs {!Fsa_struct.Structural} proves independent are recorded
     without a test, attributed ["static"] and counted in
     [struct.pairs_pruned]; see {!reduction_info} and DESIGN.md §13 for
-    the soundness argument).
-    [jobs] does not parallelise the unfold (the quotient dominates the
-    matching cost).  Models without the default rule-name labelling
+    the soundness argument).  Models without the default rule-name labelling
     fall back to unreduced exploration, recorded in [ri_fallback].
     The soundness gate: on every model completing un-reduced, the
     reduced run must produce the identical requirement set — the test

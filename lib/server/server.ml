@@ -80,6 +80,21 @@ let h_latency =
                 5000.; 10000. |]
     "server.latency_ms"
 
+(* Optional request members.  An absent member takes its default; a
+   present member of the wrong JSON type is a bad request naming the
+   member — never silently the default. *)
+let req_member conv ty req k =
+  match Json.member k req with
+  | None -> None
+  | Some v -> (
+    match conv v with
+    | Some _ as x -> x
+    | None -> raise (Usage_error (Printf.sprintf "%S must be %s" k ty)))
+
+let req_str = req_member Json.to_str "a string"
+let req_int = req_member Json.to_int "an integer"
+let req_bool = req_member Json.to_bool "a boolean"
+
 (* ------------------------------------------------------------------ *)
 (* Shared executor                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -96,15 +111,8 @@ module Exec = struct
     | Check -> "check"
     | Report -> "report"
 
-  let op_of_string = function
-    | "reach" -> Some Reach
-    | "requirements" -> Some Requirements
-    | "analyze" -> Some Analyze
-    | "abstract" -> Some Abstract
-    | "verify" -> Some Verify
-    | "check" -> Some Check
-    | "report" -> Some Report
-    | _ -> None
+  let all_ops = [ Reach; Requirements; Analyze; Abstract; Verify; Check; Report ]
+  let op_of_string s = List.find_opt (fun op -> op_to_string op = s) all_ops
 
   type outcome = {
     oc_result : Json.t;
@@ -113,9 +121,137 @@ module Exec = struct
     oc_cached : bool;
   }
 
-  let meth_string = function
+  let meth_to_string = function
     | Analysis.Direct -> "direct"
     | Analysis.Abstract -> "abstract"
+
+  let meth_of_string s =
+    List.find_opt
+      (fun m -> meth_to_string m = s)
+      [ Analysis.Direct; Analysis.Abstract ]
+
+  (* Version stamp of the shared abstraction engine.  Part of every
+     abstract-method requirements key and of every quotient entry's
+     key, so entries written by a different engine generation can never
+     replay as this one's results. *)
+  let abstraction_engine = "shared-v1"
+
+  (* Which engine answers dependence queries — part of the
+     requirements/report outcome keys and of the report settings. *)
+  let engine_string = function
+    | Analysis.Direct -> "direct"
+    | Analysis.Abstract -> abstraction_engine
+
+  (* ---- analysis parameters -------------------------------------- *)
+
+  type params = {
+    meth : Analysis.dependence_method;
+    max_states : int;
+    flow : bool;
+    reduce : Sym.kind option;
+    sos : string option;
+    keep : string list option;
+  }
+
+  let defaults =
+    { meth = Analysis.Abstract; max_states = 1_000_000; flow = false;
+      reduce = None; sos = None; keep = None }
+
+  type field = Meth | Max_states | Flow | Reduce | Sos | Keep
+
+  (* The one spelling of each option: it is both the request member and
+     the cache-key param. *)
+  let field_name = function
+    | Meth -> "method"
+    | Max_states -> "max_states"
+    | Flow -> "flow"
+    | Reduce -> "reduce"
+    | Sos -> "sos"
+    | Keep -> "keep"
+
+  (* The fields each op honours.  Exactly these key its outcomes, so a
+     field missing here would let one setting's outcome replay for
+     another's. *)
+  let fields = function
+    | Reach | Verify -> [ Max_states; Reduce ]
+    | Requirements -> [ Meth; Max_states; Flow; Reduce ]
+    | Report -> [ Meth; Max_states; Flow; Reduce; Sos ]
+    | Analyze -> [ Sos ]
+    | Abstract -> [ Max_states; Keep ]
+    | Check -> []
+
+  (* The shared quotient depends only on the APA part of the spec, the
+     exploration bound and the effective reduction (its key adds the
+     erased alphabet and the engine version). *)
+  let quotient_fields = [ Max_states; Reduce ]
+
+  (* A field's cache-key params.  [reduce] keys because reduced runs
+     report quotient statistics; [flow] because flow-pruned outcomes
+     attribute pairs ("pruned_by", settings, coverage) that unpruned
+     entries — including any written before the member existed — lack;
+     ["engine"] rides with [method] because the timing sections of
+     another engine generation differ even though verdicts agree. *)
+  let field_key p f =
+    let k = field_name f in
+    match f with
+    | Meth -> [ (k, meth_to_string p.meth); ("engine", engine_string p.meth) ]
+    | Max_states -> [ (k, string_of_int p.max_states) ]
+    | Flow -> [ (k, if p.flow then "static-flow" else "none") ]
+    | Reduce ->
+      Option.to_list (Option.map (fun r -> (k, Sym.kind_to_string r)) p.reduce)
+    | Sos -> Option.to_list (Option.map (fun s -> (k, s)) p.sos)
+    | Keep -> [ (k, String.concat "," (Option.value p.keep ~default:[])) ]
+
+  let key_params op p = List.concat_map (field_key p) (fields op)
+
+  let report_settings p =
+    { Report.sg_path = "tool";
+      sg_method = meth_to_string p.meth;
+      sg_engine = engine_string p.meth;
+      sg_reduce =
+        (match p.reduce with None -> "none" | Some k -> Sym.kind_to_string k);
+      sg_prune = (if p.flow then "flow" else "none");
+      sg_max_states = p.max_states }
+
+  (* [keep] accepts both a JSON list of names and a comma-separated
+     string, matching the CLI's --keep. *)
+  let keep_of_json = function
+    | Json.List vs ->
+      let names = List.filter_map Json.to_str vs in
+      if List.length names = List.length vs then Some names else None
+    | Json.Str s -> Some (List.filter (( <> ) "") (String.split_on_char ',' s))
+    | _ -> None
+
+  (* Every field is decoded whatever the op, so a mistyped member is a
+     bad request even where the op ignores it. *)
+  let params_of_json ~bound req =
+    let member conv ty f = req_member conv ty req (field_name f) in
+    let str = member Json.to_str "a string" in
+    let bad fmt = Printf.ksprintf (fun m -> raise (Usage_error m)) fmt in
+    let parse f of_string choices =
+      Option.map
+        (fun s ->
+          match of_string s with
+          | Some v -> v
+          | None -> bad "unknown %s %S (%s)" (field_name f) s choices)
+        (str f)
+    in
+    { meth =
+        Option.value (parse Meth meth_of_string "direct|abstract")
+          ~default:defaults.meth;
+      max_states =
+        (match member Json.to_int "an integer" Max_states with
+        | Some n when n > 0 -> min n bound
+        | Some _ -> bad "%S must be positive" (field_name Max_states)
+        | None -> bound);
+      flow =
+        Option.value (member Json.to_bool "a boolean" Flow)
+          ~default:defaults.flow;
+      reduce = parse Reduce Sym.kind_of_string "sym|por|sym+por";
+      sos = str Sos;
+      keep =
+        member keep_of_json "a list of strings or a comma-separated string"
+          Keep }
 
   (* A cooperative timeout: exploration progress ticks double as
      deadline checks.  The final tick must not raise — [Progress.finish]
@@ -128,9 +264,11 @@ module Exec = struct
           && Int64.compare (Span.now_ns ()) deadline_ns > 0
         then raise Request_timeout)
 
-  let explore_lts ~max_states ~jobs ~progress apa =
-    if jobs > 1 then Lts.explore_par ~max_states ?progress ~jobs apa
-    else Lts.explore ~max_states ?progress apa
+  (* A spec without instances has no APA: that is a usage error of the
+     exploring ops, not an internal failure. *)
+  let apa_of spec =
+    try Elaborate.apa_of_spec spec
+    with Invalid_argument msg -> raise (Usage_error msg)
 
   let actions_json set =
     Json.List
@@ -169,8 +307,8 @@ module Exec = struct
   (* One reduction plan per request: guard signatures come from the
      spec's own syntax, so spec-driven symmetry detection needs no
      caller attestation. *)
-  let reduce_plan ~reduce spec apa =
-    match reduce with
+  let reduce_plan p spec apa =
+    match p.reduce with
     | None -> None
     | Some kind ->
       let sigs = Elaborate.guard_signatures spec in
@@ -188,17 +326,17 @@ module Exec = struct
           | None -> Json.Null
           | Some s -> Json.Str s ) ]
 
-  let run_reach ~max_states ~jobs ~progress ~reduce spec =
-    let apa = Elaborate.apa_of_spec spec in
-    match reduce_plan ~reduce spec apa with
+  let run_reach ~progress p spec =
+    let apa = apa_of spec in
+    match reduce_plan p spec apa with
     | None ->
-      let lts = explore_lts ~max_states ~jobs ~progress apa in
+      let lts = Lts.explore ~max_states:p.max_states ?progress apa in
       let output =
         Fmt.str "%a@.%a@." Lts.pp_stats (Lts.stats lts) Lts.pp_min_max lts
       in
       (summary_of_lts lts, output, 0)
     | Some pl ->
-      let lts = Analysis.quotient ~max_states ~jobs ?progress pl apa in
+      let lts = Analysis.quotient ~max_states:p.max_states ?progress pl apa in
       let order = Sym.group_order pl.Sym.pl_report in
       let output =
         Fmt.str "%a@.%a@.reduction: %s quotient (group order %.0f)@."
@@ -300,18 +438,6 @@ module Exec = struct
 
   (* ---- shared-quotient cache ------------------------------------ *)
 
-  (* Version stamp of the shared abstraction engine.  Part of every
-     abstract-method requirements key and of every quotient entry's
-     key, so entries written by a different engine generation can never
-     replay as this one's results. *)
-  let abstraction_engine = "shared-v1"
-
-  (* Which engine answers dependence queries — part of the
-     requirements/report outcome keys and of the report settings. *)
-  let engine_string = function
-    | Analysis.Direct -> "direct"
-    | Analysis.Abstract -> abstraction_engine
-
   module Int_set = Fsa_automata.Automata.Int_set
 
   let dfa_to_json dfa =
@@ -379,23 +505,14 @@ module Exec = struct
         | Error _ -> false)
       alphabet
 
-  (* The shared quotient depends only on the APA part of the spec, the
-     exploration bound, the effective reduction and the erased
-     alphabet, so its key is exactly those plus the engine version. *)
-  let quotient_cache st ~digest ~max_states ~reduce : Analysis.quotient_cache
-      =
+  let quotient_cache st ~digest p : Analysis.quotient_cache =
     let key ~alphabet =
       let params =
-        [ ("engine", abstraction_engine);
-          ("max_states", string_of_int max_states);
-          ( "alphabet",
-            Store.digest_hex
-              (String.concat "\x00" (List.map Action.to_string alphabet)) )
-        ]
-        @
-        match reduce with
-        | None -> []
-        | Some k -> [ ("reduce", Sym.kind_to_string k) ]
+        ("engine", abstraction_engine)
+        :: ( "alphabet",
+             Store.digest_hex
+               (String.concat "\x00" (List.map Action.to_string alphabet)) )
+        :: List.concat_map (field_key p) quotient_fields
       in
       Store.cache_key ~digest ~kind:"quotient" ~params
     in
@@ -418,26 +535,16 @@ module Exec = struct
 
   (* ---- requirement reports -------------------------------------- *)
 
-  let report_settings ~meth ~reduce ~flow ~max_states =
-    { Report.sg_path = "tool";
-      sg_method = meth_string meth;
-      sg_engine = engine_string meth;
-      sg_reduce =
-        (match reduce with None -> "none" | Some k -> Sym.kind_to_string k);
-      sg_prune = (if flow then "flow" else "none");
-      sg_max_states = max_states }
-
   (* One tool-path run plus its Fsa_report view.  The report digest
      covers APA *and* models: classification maps requirements onto the
      declared functional models, so a model edit must change it even
      when the APA part is untouched. *)
-  let tool_report_of cfg ~meth ~max_states ~jobs ~flow ~progress ~reduce
-      ?quotient_cache spec =
-    let apa = Elaborate.apa_of_spec spec in
+  let tool_report_of cfg ~progress ?quotient_cache p spec =
+    let apa = apa_of spec in
     (* the flow graph is rebuilt per request: it is cheap (no state
        space) and its attribution needs the located skeleton *)
     let flow_graph =
-      if not flow then None
+      if not p.flow then None
       else
         Some
           (Flow.build
@@ -447,8 +554,8 @@ module Exec = struct
              apa)
     in
     let tr =
-      Analysis.tool ~meth ~max_states ~jobs ?flow:flow_graph
-        ?reduce:(reduce_plan ~reduce spec apa)
+      Analysis.tool ~meth:p.meth ~max_states:p.max_states ?flow:flow_graph
+        ?reduce:(reduce_plan p spec apa)
         ?quotient_cache ?progress ~stakeholder:cfg.sv_stakeholder apa
     in
     let rpt =
@@ -457,17 +564,13 @@ module Exec = struct
         ~soses:(Elaborate.sos_list spec)
         ~alphabet:(Apa.rule_names apa)
         ~digest:(Elaborate.digest_of_spec ~parts:[ `Apa; `Models ] spec)
-        ~settings:(report_settings ~meth ~reduce ~flow ~max_states)
+        ~settings:(report_settings p)
         tr
     in
     (tr, rpt)
 
-  let run_requirements cfg ~meth ~max_states ~jobs ~flow ~progress ~reduce
-      ?quotient_cache spec =
-    let report, rpt =
-      tool_report_of cfg ~meth ~max_states ~jobs ~flow ~progress ~reduce
-        ?quotient_cache spec
-    in
+  let run_requirements cfg ~progress ?quotient_cache p spec =
+    let report, rpt = tool_report_of cfg ~progress ?quotient_cache p spec in
     let reduction =
       match report.Analysis.t_reduction with
       | None -> []
@@ -483,9 +586,9 @@ module Exec = struct
     in
     (result, Fmt.str "%a@." Analysis.pp_tool_report report, 0)
 
-  let soses_of ~sos spec =
+  let soses_of p spec =
     let soses =
-      match sos with
+      match p.sos with
       | Some name -> (
         try [ Elaborate.sos_of_spec spec name ]
         with Invalid_argument msg -> raise (Usage_error msg))
@@ -498,8 +601,8 @@ module Exec = struct
   (* The manual path keeps the paper's default stakeholder assignment
      (driver for HMI actions): [sv_stakeholder] parameterises only the
      tool path, mirroring the CLI. *)
-  let run_analyze ~sos spec =
-    let soses = soses_of ~sos spec in
+  let run_analyze p spec =
+    let soses = soses_of p spec in
     let digest = Elaborate.digest_of_spec ~parts:[ `Models ] spec in
     let reports = List.map (fun s -> (s, Analysis.manual s)) soses in
     let output =
@@ -528,23 +631,18 @@ module Exec = struct
      path when the spec elaborates instances (or the manual path for an
      explicitly named sos), otherwise the manual path over the declared
      functional models, mirroring [run_analyze]'s selection. *)
-  let run_report cfg ~meth ~max_states ~jobs ~flow ~progress ~reduce ~sos
-      ?quotient_cache spec =
+  let run_report cfg ~progress ?quotient_cache p spec =
     let manual soses =
       let digest = Elaborate.digest_of_spec ~parts:[ `Models ] spec in
       List.map (fun s -> Report.of_manual ~digest s (Analysis.manual s)) soses
     in
     let reports =
-      match sos with
-      | Some _ -> manual (soses_of ~sos spec)
+      match p.sos with
+      | Some _ -> manual (soses_of p spec)
       | None ->
         if (Elaborate.env_of_spec spec).Elaborate.instances <> [] then
-          let _, rpt =
-            tool_report_of cfg ~meth ~max_states ~jobs ~flow ~progress
-              ~reduce ?quotient_cache spec
-          in
-          [ rpt ]
-        else manual (soses_of ~sos spec)
+          [ snd (tool_report_of cfg ~progress ?quotient_cache p spec) ]
+        else manual (soses_of p spec)
     in
     match reports with
     | [ r ] -> (Report.to_json r, Report.to_markdown r, 0)
@@ -553,14 +651,13 @@ module Exec = struct
         String.concat "\n" (List.map Report.to_markdown rs),
         0 )
 
-  let run_abstract ~keep ~max_states ~jobs ~progress spec =
+  let run_abstract ~progress p spec =
     let keep =
-      match keep with
+      match p.keep with
       | Some (_ :: _ as ks) -> ks
       | _ -> raise (Usage_error "abstract requires a non-empty keep set")
     in
-    let apa = Elaborate.apa_of_spec spec in
-    let lts = explore_lts ~max_states ~jobs ~progress apa in
+    let lts = Lts.explore ~max_states:p.max_states ?progress (apa_of spec) in
     let actions = List.map Action.make keep in
     let h = Hom.preserve actions in
     let dfa = Hom.minimal_automaton h lts in
@@ -599,24 +696,24 @@ module Exec = struct
     | Some Sym.Por -> None
     | k -> k
 
-  let run_verify ~max_states ~jobs ~progress ~reduce spec =
+  let run_verify ~progress p spec =
     let patterns = Elaborate.patterns_of_spec spec in
     if patterns = [] then
       raise (Usage_error "the specification declares no check");
-    let apa = Elaborate.apa_of_spec spec in
+    let apa = apa_of spec in
+    let explore () = Lts.explore ~max_states:p.max_states ?progress apa in
     let lts, note =
-      match reduce_plan ~reduce spec apa with
+      match reduce_plan p spec apa with
       | Some pl when Sym.canon_fn pl <> None -> (
         try
-          let lts, _, _ = Analysis.unfolded ~max_states pl apa in
+          let lts, _, _ = Analysis.unfolded ~max_states:p.max_states pl apa in
           (lts, "note: symmetry-guided exploration (exact graph)\n")
         with Sym.Unsupported reason ->
-          ( explore_lts ~max_states ~jobs ~progress apa,
+          ( explore (),
             Printf.sprintf "note: reduction fell back (%s)\n" reason ))
       | Some _ ->
-        ( explore_lts ~max_states ~jobs ~progress apa,
-          "note: no reducible symmetry; explored unreduced\n" )
-      | None -> (explore_lts ~max_states ~jobs ~progress apa, "")
+        (explore (), "note: no reducible symmetry; explored unreduced\n")
+      | None -> (explore (), "")
     in
     let results =
       List.map (fun (d, p) -> (d, Pattern.check lts p)) patterns
@@ -665,16 +762,16 @@ module Exec = struct
     | Analyze -> [ `Models ]
     | Check -> [ `Apa; `Checks; `Models ]
 
-  let run cfg ~op ?(meth = Analysis.Abstract) ?(max_states = 1_000_000)
-      ?(jobs = 1) ?(flow = false) ?sos ?keep ?reduce ?progress ?deadline_ns
-      ?(cache = true) ~file spec =
+  let exec cfg ~op ?progress ?deadline_ns ?(cache = true) ~file p spec =
     (* the effective reduction is what runs AND what keys the cache:
        verify ignores the POR half (unsound for arbitrary properties),
        so a [por] verify request shares the unreduced entry *)
-    let reduce = match op with Verify -> verify_reduce reduce | _ -> reduce in
+    let p =
+      match op with Verify -> { p with reduce = verify_reduce p.reduce } | _ -> p
+    in
     let progress =
       match (progress, deadline_ns) with
-      | (Some _ as p), _ -> p
+      | (Some _ as pr), _ -> pr
       | None, Some d -> Some (deadline_progress d)
       | None, None -> None
     in
@@ -683,30 +780,26 @@ module Exec = struct
          is useful exactly when the outcome itself missed (different
          max_states, evicted outcome, …) *)
       let quotient_hook () =
-        match (meth, if cache then cfg.sv_store else None) with
+        match (p.meth, if cache then cfg.sv_store else None) with
         | Analysis.Abstract, Some st ->
           Some
             (quotient_cache st
                ~digest:(Elaborate.digest_of_spec ~parts:[ `Apa ] spec)
-               ~max_states ~reduce)
+               p)
         | _ -> None
       in
       try
         match op with
-        | Reach -> run_reach ~max_states ~jobs ~progress ~reduce spec
+        | Reach -> run_reach ~progress p spec
         | Requirements ->
-          run_requirements cfg ~meth ~max_states ~jobs ~flow ~progress
-            ~reduce
-            ?quotient_cache:(quotient_hook ())
+          run_requirements cfg ~progress ?quotient_cache:(quotient_hook ()) p
             spec
-        | Analyze -> run_analyze ~sos spec
-        | Abstract -> run_abstract ~keep ~max_states ~jobs ~progress spec
-        | Verify -> run_verify ~max_states ~jobs ~progress ~reduce spec
+        | Analyze -> run_analyze p spec
+        | Abstract -> run_abstract ~progress p spec
+        | Verify -> run_verify ~progress p spec
         | Check -> run_check ~file spec
         | Report ->
-          run_report cfg ~meth ~max_states ~jobs ~flow ~progress ~reduce ~sos
-            ?quotient_cache:(quotient_hook ())
-            spec
+          run_report cfg ~progress ?quotient_cache:(quotient_hook ()) p spec
       with Lts.State_space_too_large n ->
         (* enrich with the structural growth hint while the spec is still
            in scope; never let the hint computation mask the error *)
@@ -721,7 +814,7 @@ module Exec = struct
            reduction is often the difference between blowing the bound
            and finishing (same guard: never mask the error) *)
         let hint =
-          if reduce <> None then hint
+          if p.reduce <> None then hint
           else
             hint
             ^
@@ -759,45 +852,10 @@ module Exec = struct
     | None -> fresh ()
     | Some st -> (
       let digest = Elaborate.digest_of_spec ~parts:(digest_parts op) spec in
-      (* [jobs] is deliberately not part of the key: the explored graph
-         is identical at any job count *)
-      let params =
-        let ms = ("max_states", string_of_int max_states) in
-        (* [reduce] IS part of the key: reduced runs report quotient
-           statistics and reduction metadata, so their outcomes are not
-           interchangeable with unreduced ones (verify keys its
-           post-downgrade effective reduction, which is) *)
-        let rd =
-          match reduce with
-          | None -> []
-          | Some k -> [ ("reduce", Sym.kind_to_string k) ]
-        in
-        (* [flow] IS part of the requirements/report keys: verdicts
-           cannot change, but flow-pruned outcomes attribute pairs
-           ("pruned_by", settings, coverage) that pre-flow entries —
-           including any written before the member existed — do not
-           carry, so the two must never replay for each other *)
-        let fl = ("flow", if flow then "static-flow" else "none") in
-        (* the engine param keys outcomes away from other engine
-           generations (and pre-engine entries): their timing sections
-           differ even though verdicts are identical *)
-        let tool =
-          (ms :: rd)
-          @ [ ("method", meth_string meth); ("engine", engine_string meth); fl ]
-        in
-        match op with
-        | Reach -> ms :: rd
-        | Requirements -> tool
-        | Report ->
-          tool @ (match sos with Some s -> [ ("sos", s) ] | None -> [])
-        | Analyze -> (
-          match sos with Some s -> [ ("sos", s) ] | None -> [])
-        | Abstract ->
-          [ ms; ("keep", String.concat "," (Option.value keep ~default:[])) ]
-        | Verify -> ms :: rd
-        | Check -> []
+      let key =
+        Store.cache_key ~digest ~kind:(op_to_string op)
+          ~params:(key_params op p)
       in
-      let key = Store.cache_key ~digest ~kind:(op_to_string op) ~params in
       match Store.find st ~key with
       | Some e ->
         { oc_result = e.Store.e_result;
@@ -813,30 +871,38 @@ module Exec = struct
             e_output = o.oc_output;
             e_exit = o.oc_exit };
         o)
+
+  let run cfg ~op ?(meth = defaults.meth) ?(max_states = defaults.max_states)
+      ?(flow = defaults.flow) ?sos ?keep ?reduce ?progress ?deadline_ns ?cache
+      ~file spec =
+    exec cfg ~op ?progress ?deadline_ns ?cache ~file
+      { meth; max_states; flow; reduce; sos; keep }
+      spec
 end
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The absolute deadline of a wall-clock budget; [0] means none. *)
+let deadline_of_ms ms =
+  if ms > 0 then
+    Some (Int64.add (Span.now_ns ()) (Int64.mul (Int64.of_int ms) 1_000_000L))
+  else None
+
+(* The error kind and message of a failed request. *)
 let error_of_exn = function
-  | Request_timeout ->
-    Some ("timeout", "request exceeded its wall-clock budget")
+  | Request_timeout -> ("timeout", "request exceeded its wall-clock budget")
   | Lts.State_space_too_large n ->
-    Some
-      ( "too_large",
-        Printf.sprintf "state space exceeds the bound of %d states" n )
+    ("too_large", Printf.sprintf "state space exceeds the bound of %d states" n)
   | Too_large (n, hint) ->
-    Some
-      ( "too_large",
-        Printf.sprintf "state space exceeds the bound of %d states%s" n hint
-      )
-  | Usage_error msg -> Some ("bad_request", msg)
-  | Invalid_argument msg -> Some ("bad_request", msg)
+    ( "too_large",
+      Printf.sprintf "state space exceeds the bound of %d states%s" n hint )
+  | Usage_error msg | Invalid_argument msg -> ("bad_request", msg)
   | Loc.Error (loc, msg) ->
-    Some ("parse_error", Fmt.str "%a" Loc.pp_exn (loc, msg))
-  | Sys_error msg -> Some ("io_error", msg)
-  | _ -> None
+    ("parse_error", Fmt.str "%a" Loc.pp_exn (loc, msg))
+  | Sys_error msg -> ("io_error", msg)
+  | e -> ("internal", Printexc.to_string e)
 
 (* Every response echoes the request's trace id (generated when the
    request did not supply one), so clients can line responses up with
@@ -937,39 +1003,6 @@ let dump_worthy = function
   | "timeout" | "too_large" | "internal" -> true
   | _ -> false
 
-(* Optional request members.  An absent member takes its default; a
-   present member of the wrong JSON type is a bad request naming the
-   member — never silently the default. *)
-let mistyped k ty = Usage_error (Printf.sprintf "%S must be %s" k ty)
-
-let req_member conv ty req k =
-  match Json.member k req with
-  | None -> None
-  | Some v -> (
-    match conv v with Some _ as x -> x | None -> raise (mistyped k ty))
-
-let req_str = req_member Json.to_str "a string"
-let req_int = req_member Json.to_int "an integer"
-let req_bool = req_member Json.to_bool "a boolean"
-
-(* [keep] accepts both a JSON list of names and a comma-separated
-   string, matching the CLI's --keep. *)
-let req_keep req =
-  let ty = "a list of strings or a comma-separated string" in
-  match Json.member "keep" req with
-  | None -> None
-  | Some (Json.List vs) ->
-    Some
-      (List.map
-         (fun v ->
-           match Json.to_str v with
-           | Some s -> s
-           | None -> raise (mistyped "keep" ty))
-         vs)
-  | Some (Json.Str s) ->
-    Some (List.filter (( <> ) "") (String.split_on_char ',' s))
-  | Some _ -> raise (mistyped "keep" ty)
-
 (* Read without validating, for what [handle_line] needs before the
    request is handled; [handle_request] rejects the mistyped ones. *)
 let peek_str req k = Option.bind (Json.member k req) Json.to_str
@@ -1066,12 +1099,7 @@ let handle_request cfg ~trace_id req =
       | None, None ->
         raise (Usage_error "missing \"source\" or \"spec\"")
     in
-    let max_states =
-      match req_int req "max_states" with
-      | Some n when n > 0 -> min n cfg.sv_max_states
-      | Some _ -> raise (Usage_error "\"max_states\" must be positive")
-      | None -> cfg.sv_max_states
-    in
+    let p = Exec.params_of_json ~bound:cfg.sv_max_states req in
     let timeout_ms =
       match req_int req "timeout_ms" with
       | Some t when t > 0 ->
@@ -1079,48 +1107,16 @@ let handle_request cfg ~trace_id req =
       | Some _ -> raise (Usage_error "\"timeout_ms\" must be positive")
       | None -> cfg.sv_timeout_ms
     in
-    let deadline_ns =
-      if timeout_ms > 0 then
-        Some
-          (Int64.add (Span.now_ns ())
-             (Int64.mul (Int64.of_int timeout_ms) 1_000_000L))
-      else None
-    in
-    let meth =
-      match req_str req "method" with
-      | Some "direct" -> Analysis.Direct
-      | Some "abstract" -> Analysis.Abstract
-      | Some s ->
-        raise
-          (Usage_error
-             (Printf.sprintf "unknown method %S (direct|abstract)" s))
-      | None -> Analysis.Abstract
-    in
-    let reduce =
-      match req_str req "reduce" with
-      | None -> None
-      | Some s -> (
-        match Sym.kind_of_string s with
-        | Some _ as k -> k
-        | None ->
-          raise
-            (Usage_error
-               (Printf.sprintf "unknown reduce %S (sym|por|sym+por)" s)))
-    in
     let outcome =
-      Exec.run cfg ~op ~meth ~max_states ?flow:(req_bool req "flow")
-        ?sos:(req_str req "sos") ?keep:(req_keep req) ?reduce ?deadline_ns
+      Exec.exec cfg ~op
+        ?deadline_ns:(deadline_of_ms timeout_ms)
         ~cache:(Option.value (req_bool req "cache") ~default:true)
-        ~file spec
+        ~file p spec
     in
     ok_response ~id ~trace_id outcome
   with e ->
     Metrics.incr m_errors;
-    let kind, message =
-      match error_of_exn e with
-      | Some km -> km
-      | None -> ("internal", Printexc.to_string e)
-    in
+    let kind, message = error_of_exn e in
     Recorder.record Recorder.Error (kind ^ ": " ^ message);
     if dump_worthy kind then flight_dump cfg ~trace_id;
     error_response ~id ~trace_id kind message
@@ -1341,16 +1337,12 @@ module Batch = struct
   let result_of_path cfg ~op path =
     try
       let spec = Parser.parse_file path in
-      let deadline_ns =
-        if cfg.sv_timeout_ms > 0 then
-          Some
-            (Int64.add (Span.now_ns ())
-               (Int64.mul (Int64.of_int cfg.sv_timeout_ms) 1_000_000L))
-        else None
-      in
       let o =
-        Exec.run cfg ~op ~max_states:cfg.sv_max_states ?deadline_ns
-          ~file:path spec
+        Exec.exec cfg ~op
+          ?deadline_ns:(deadline_of_ms cfg.sv_timeout_ms)
+          ~file:path
+          { Exec.defaults with max_states = cfg.sv_max_states }
+          spec
       in
       Json.Obj
         [ ("spec", Json.Str path);
@@ -1359,11 +1351,7 @@ module Batch = struct
           ("exit", Json.Int o.Exec.oc_exit);
           ("result", o.Exec.oc_result) ]
     with e ->
-      let kind, message =
-        match error_of_exn e with
-        | Some km -> km
-        | None -> ("internal", Printexc.to_string e)
-      in
+      let kind, message = error_of_exn e in
       Json.Obj
         [ ("spec", Json.Str path);
           ("ok", Json.Bool false);

@@ -1,8 +1,8 @@
 (** Batch and daemon serving layer over the analysis pipeline.
 
     [Exec] is the shared executor: every analysis the CLI and the server
-    both offer (reach, requirements, analyze, abstract, verify, check)
-    runs through {!Exec.run}, which consults the content-addressed
+    both offer (reach, requirements, analyze, abstract, verify, check,
+    report) runs through {!Exec.exec}, which consults the content-addressed
     result cache ({!Fsa_store.Store}) before paying for an exploration
     and stores fresh results for the next caller — so a result computed
     by [fsa reach --cache] is served to a later [fsa serve] request over
@@ -16,19 +16,19 @@
     {"id": .., "op": "requirements", "spec": "path.fsa", "method": "direct"}
     v}
 
-    [op] is one of [reach], [requirements], [analyze], [abstract],
-    [verify], [check], or the protocol-level [stats] (below); the model
-    comes either inline ([source]) or from a file ([spec]).  Optional
-    members: [max_states] (integer, clamped to the server's bound),
-    [timeout_ms] (integer, clamped to the server's budget), [method]
-    ([direct]|[abstract], requirements and report), [flow] (boolean,
-    requirements and report: skip dependence tests for pairs the static
-    information-flow analysis proves independent — never changes the
-    verdicts), [reduce] ([sym]|[por]|[sym+por]: symmetry / partial-order
-    reduction on reach, requirements, report and verify; verify honours
-    only the symmetry half), [sos] (string, analyze and report), [keep]
-    (list of action names or a comma-separated string, abstract only),
-    [cache] (boolean; [false] bypasses the store for one request) and
+    [op] is one of {!Exec.all_ops} — [reach], [requirements],
+    [analyze], [abstract], [verify], [check], [report] — or the
+    protocol-level [stats] (below); the model comes either inline
+    ([source]) or from a file ([spec]).  Optional members: the
+    {!Exec.params} fields, decoded by {!Exec.params_of_json} —
+    [max_states] (integer, clamped to the server's bound), [method]
+    ([direct]|[abstract]), [flow] (boolean: skip dependence tests for
+    pairs the static information-flow analysis proves independent —
+    never changes the verdicts), [reduce] ([sym]|[por]|[sym+por]), [sos]
+    (string) and [keep] (list of action names or a comma-separated
+    string), each honoured by the ops {!Exec.fields} names — plus
+    [timeout_ms] (integer, clamped to the server's budget), [cache]
+    (boolean; [false] bypasses the store for one request) and
     [trace_id] (string, a client-chosen identifier for the request's
     trace; one is generated when absent).  An absent member takes its
     default; a present member of the wrong JSON type is answered with a
@@ -112,7 +112,7 @@ exception Usage_error of string
     (unknown sos, empty keep set, no check declarations, ...). *)
 
 exception Too_large of int * string
-(** {!Fsa_lts.Lts.State_space_too_large} raised from {!Exec.run},
+(** {!Fsa_lts.Lts.State_space_too_large} raised from {!Exec.exec},
     enriched with the structural growth hint of
     {!Fsa_struct.Structural.growth_hint} naming the fastest-growing
     state components (possibly [""]). *)
@@ -122,8 +122,13 @@ exception Too_large of int * string
 module Exec : sig
   type op = Reach | Requirements | Analyze | Abstract | Verify | Check | Report
 
+  val all_ops : op list
+
   val op_of_string : string -> op option
   val op_to_string : op -> string
+
+  val meth_of_string : string -> Fsa_core.Analysis.dependence_method option
+  val meth_to_string : Fsa_core.Analysis.dependence_method -> string
 
   type outcome = {
     oc_result : Json.t;  (** structured result (summary, requirements, ...) *)
@@ -132,12 +137,90 @@ module Exec : sig
     oc_cached : bool;
   }
 
+  type params = {
+    meth : Fsa_core.Analysis.dependence_method;
+    max_states : int;
+    flow : bool;
+    reduce : Fsa_sym.Sym.kind option;
+    sos : string option;
+    keep : string list option;
+  }
+  (** The options of one analysis.  The CLI flags, the request members
+      of {!handle_line} and the labels of {!run} all build this record. *)
+
+  val defaults : params
+  (** Abstract method, 1_000_000 states, nothing else set. *)
+
+  type field = Meth | Max_states | Flow | Reduce | Sos | Keep
+
+  val fields : op -> field list
+  (** The fields an op honours; it ignores the others. *)
+
+  val key_params : op -> params -> (string * string) list
+  (** The cache-key params of an op's outcome, derived from its
+      {!fields} only.  [method] adds an ["engine"] param (the shared
+      engine's version, or ["direct"]), so entries of another engine
+      generation never replay; [reduce] and [sos] appear only when
+      set. *)
+
+  val params_of_json : bound:int -> Json.t -> params
+  (** Decode the request members ["method"], ["max_states"], ["flow"],
+      ["reduce"], ["sos"] and ["keep"], whatever the op.  An absent
+      member takes its {!defaults} value, except [max_states], which
+      defaults to [bound] and is clamped to it.
+      @raise Usage_error naming a mistyped member, or on an unknown
+      method or reduction or a non-positive [max_states]. *)
+
+  val exec :
+    config ->
+    op:op ->
+    ?progress:Fsa_obs.Progress.t ->
+    ?deadline_ns:int64 ->
+    ?cache:bool ->
+    file:string ->
+    params ->
+    Fsa_spec.Ast.t ->
+    outcome
+  (** Run one analysis, cache-aware.  On a hit the stored outcome is
+      replayed without touching the state space; on a miss the analysis
+      runs and (if it completes) its outcome is stored under
+      {!key_params} and the digest of the spec parts the op reads.
+      [Check] is never cached: its diagnostics carry source locations,
+      which the location-free digest deliberately ignores.  Timeouts and
+      other errors propagate as exceptions and are never cached.
+      [flow] prunes pairs with {!Fsa_flow.Flow} taint reachability; they
+      are attributed ["static-flow"] in the report coverage and the
+      per-pair ["pruned_by"] timing member.  [reduce] requests symmetry
+      / partial-order reduction ({!Fsa_sym.Sym}).  Verify downgrades it
+      to its symmetry half before keying and running ([sym+por] to
+      [sym], [por] to none): the POR-reduced graph is unsound for
+      arbitrary properties, and the symmetry path model-checks the
+      exact unfolded graph.
+      Under [meth = Abstract] the dependence pairs are answered by the
+      shared multi-pair abstraction engine ({!Fsa_core.Analysis.tool}).
+      With a store configured, its quotient is cached under kind
+      ["quotient"], keyed by the APA digest, the erased-alphabet digest,
+      [max_states], the effective reduction and the engine version.
+      [Report] renders the {!Fsa_report.Report} view: the tool path
+      when the spec elaborates instances (or the manual path for an
+      explicitly named [sos]), otherwise the manual path over every
+      declared functional model.  Requirements and report outcomes are
+      keyed under the APA+models digest, since the embedded
+      classification maps onto the functional models.
+      [deadline_ns] (absolute, {!Fsa_obs.Span.now_ns} clock) arms a
+      cooperative timeout checked during exploration; it is only used
+      when no [progress] reporter is supplied.
+      @raise Fsa_spec.Loc.Error on specs that do not elaborate
+      @raise Usage_error on analysis-level misuse, including an
+      exploring op on a spec without instances
+      @raise Request_timeout past the deadline
+      @raise Too_large beyond [max_states] *)
+
   val run :
     config ->
     op:op ->
     ?meth:Fsa_core.Analysis.dependence_method ->
     ?max_states:int ->
-    ?jobs:int ->
     ?flow:bool ->
     ?sos:string ->
     ?keep:string list ->
@@ -148,58 +231,8 @@ module Exec : sig
     file:string ->
     Fsa_spec.Ast.t ->
     outcome
-  (** Run one analysis, cache-aware.  On a hit the stored outcome is
-      replayed without touching the state space; on a miss the analysis
-      runs and (if it completes) its outcome is stored.  [Check] is
-      never cached: its diagnostics carry source locations, which the
-      location-free digest deliberately ignores.  Timeouts and other
-      errors propagate as exceptions and are never cached.
-      [jobs] is not part of the cache key: the explored graph is
-      identical at any job count.
-      [flow] (default [false], request member ["flow"]) prunes with
-      {!Fsa_flow.Flow} taint reachability on the requirements and
-      report paths; the pairs it skips are attributed ["static-flow"]
-      in the report coverage and the per-pair ["pruned_by"] timing
-      member.  [flow] {e is} part of the requirements/report cache keys
-      (a ["flow"] param): verdicts cannot change, but flow-pruned
-      outcomes carry attribution that unpruned entries lack, so the two
-      never replay for each other.
-      [reduce] requests symmetry / partial-order reduction
-      ({!Fsa_sym.Sym}) on the reach, requirements and verify paths; it
-      {e is} part of the cache key, because reduced outcomes report
-      quotient statistics.  Verify downgrades the request to its
-      symmetry half first ([sym+por] to [sym], [por] to none): the
-      POR-reduced graph is unsound for arbitrary properties, and the
-      symmetry path model-checks the exact unfolded graph, so verify
-      verdicts never depend on the reduction.
-      Under [meth = Abstract] (the default) the dependence pairs are
-      answered by the shared multi-pair abstraction engine
-      ({!Fsa_core.Analysis.tool}); the requirements and report cache
-      keys carry an ["engine"] param (the engine version, or
-      ["direct"]), so entries of another engine generation never
-      replay.  With a store configured, the shared intermediate
-      quotient itself is cached under kind ["quotient"], keyed by the
-      APA digest, the erased-alphabet digest, [max_states], the
-      effective reduction and the engine version — a later run over the
-      same model reuses the minimised automaton without re-walking the
-      graph.
-      [Report] renders the {!Fsa_report.Report} view: the tool path
-      when the spec elaborates instances (or the manual path for an
-      explicitly named [sos]), otherwise the manual path over every
-      declared functional model.  Report outcomes are cached like
-      requirements ones (method/engine/reduce params, plus ["sos"] when
-      given) under the APA+models digest: the embedded classification
-      maps onto the declared functional models, so requirements and
-      report entries must miss when the models change even if the APA
-      part did not.  The requirements and analyze results embed the
-      same report under a ["report"] member.
-      [deadline_ns] (absolute, {!Fsa_obs.Span.now_ns} clock) arms a
-      cooperative timeout checked during exploration; it is only used
-      when no [progress] reporter is supplied.
-      @raise Fsa_spec.Loc.Error on specs that do not elaborate
-      @raise Usage_error on analysis-level misuse
-      @raise Request_timeout past the deadline
-      @raise Too_large beyond [max_states] *)
+  (** {!exec} on the record of its labels; an absent one takes its
+      {!defaults} value. *)
 end
 
 (** {1 Request handling} *)

@@ -1,6 +1,6 @@
 (* Tests for the dependence engine: the tool path's matrix and
    requirement set against the per-pair oracle across every bundled
-   example spec (x jobs x --reduce kind x method), the on-the-fly
+   example spec (x --reduce kind x method), the on-the-fly
    early-decision pass, projected minimal automata, the quotient-cache
    hooks at the analysis level, and the engine-versioned store keys at
    the server level (pre-engine entries must never replay as
@@ -64,11 +64,9 @@ let oracle ~meth ~stakeholder lts =
   in
   (pair_strings pairs, requirements)
 
-(* One oracle per (model, method), computed on the unreduced graph:
-   explore_par is bit-identical to the sequential exploration (gated in
-   test_lts) and the reductions must not change the matrix, so every
-   run of the tool path compares against the same reference, pruned
-   pairs included. *)
+(* One oracle per (model, method), computed on the unreduced graph: the
+   reductions must not change the matrix, so every run of the tool path
+   compares against the same reference, pruned pairs included. *)
 let check_matches_oracle name ?guard_sig ?flow apa =
   let stakeholder = V.stakeholder in
   let lts = Lts.explore ~max_states:1_000_000 apa in
@@ -78,28 +76,20 @@ let check_matches_oracle name ?guard_sig ?flow apa =
       List.iter
         (fun kind ->
           let reduce = Option.map (fun k -> Sym.plan ?guard_sig k apa) kind in
-          List.iter
-            (fun jobs ->
-              let r =
-                Analysis.tool ~meth ~jobs ?flow ?reduce ~stakeholder apa
-              in
-              let label =
-                Printf.sprintf "%s/%s/--reduce %s/jobs %d/flow %b" name
-                  (meth_name meth)
-                  (match kind with
-                  | None -> "none"
-                  | Some k -> Sym.kind_to_string k)
-                  jobs (flow <> None)
-              in
-              Alcotest.(check (list (triple string string bool)))
-                (label ^ ": matrix = per-pair oracle")
-                pairs
-                (pair_strings (Analysis.matrix_pairs r));
-              Alcotest.(check bool)
-                (label ^ ": requirements = per-pair oracle")
-                true
-                (Auth.equal_set requirements r.Analysis.t_requirements))
-            [ 1; 2; 4 ])
+          let r = Analysis.tool ~meth ?flow ?reduce ~stakeholder apa in
+          let label =
+            Printf.sprintf "%s/%s/--reduce %s/flow %b" name (meth_name meth)
+              (match kind with None -> "none" | Some k -> Sym.kind_to_string k)
+              (flow <> None)
+          in
+          Alcotest.(check (list (triple string string bool)))
+            (label ^ ": matrix = per-pair oracle")
+            pairs
+            (pair_strings (Analysis.matrix_pairs r));
+          Alcotest.(check bool)
+            (label ^ ": requirements = per-pair oracle")
+            true
+            (Auth.equal_set requirements r.Analysis.t_requirements))
         [ None; Some Sym.Sym; Some Sym.Sym_por ])
     [ Analysis.Abstract; Analysis.Direct ]
 

@@ -1,6 +1,6 @@
 (* Tests for the static information-flow analysis: soundness of
    --prune-flow (matrix and requirements equal to the per-pair oracle
-   across every bundled example spec x jobs x --reduce kind x method),
+   across every bundled example spec x --reduce kind x method),
    the guard-kill refinement, the leak / unsanitized-flow diagnostics on
    the deliberately leaky example, static-flow attribution of pruned
    pairs, and determinism of the check --json diagnostic order under

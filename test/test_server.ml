@@ -147,18 +147,17 @@ let test_timeout_reply () =
 (* Executor caching                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let test_exec_cache_jobs_and_reparse_independent =
+let test_exec_cache_reparse_independent =
   with_store_dir @@ fun store ->
   let cfg = Server.config ~store () in
   let o1 =
-    Exec.run cfg ~op:Exec.Reach ~jobs:1 ~file:"a.fsa"
-      (Parser.parse_string spec_text)
+    Exec.run cfg ~op:Exec.Reach ~file:"a.fsa" (Parser.parse_string spec_text)
   in
   Alcotest.(check bool) "first run computes" false o1.Exec.oc_cached;
-  (* different parse, permuted declarations, different job count and a
-     different file name must all hit the same entry *)
+  (* a different parse, permuted declarations and a different file name
+     must all hit the same entry *)
   let o2 =
-    Exec.run cfg ~op:Exec.Reach ~jobs:4 ~file:"b.fsa"
+    Exec.run cfg ~op:Exec.Reach ~file:"b.fsa"
       (Parser.parse_string spec_text_permuted)
   in
   Alcotest.(check bool) "second run hits" true o2.Exec.oc_cached;
@@ -229,6 +228,88 @@ let test_cached_equals_fresh =
             [ false; true ])
         [ Fsa_core.Analysis.Direct; Fsa_core.Analysis.Abstract ])
     [ Exec.Requirements; Exec.Report ]
+
+(* The cache-key table, pinned here independently of [Exec.fields]: the
+   fields each op honours. *)
+let honoured =
+  let open Exec in
+  function
+  | Reach | Verify -> [ Max_states; Reduce ]
+  | Requirements -> [ Meth; Max_states; Flow; Reduce ]
+  | Report -> [ Meth; Max_states; Flow; Reduce; Sos ]
+  | Analyze -> [ Sos ]
+  | Abstract -> [ Max_states; Keep ]
+  | Check -> []
+
+let perturb p =
+  let open Exec in
+  function
+  | Meth -> { p with meth = Fsa_core.Analysis.Direct }
+  | Max_states -> { p with max_states = 500_000 }
+  | Flow -> { p with flow = true }
+  | Reduce -> { p with reduce = Some Fsa_sym.Sym.Sym }
+  | Sos -> { p with sos = Some "two_vehicles" }
+  | Keep -> { p with keep = Some [ "V1_sense" ] }
+
+(* Per op and field: changing a field the op honours changes its cache
+   key; changing one it ignores leaves the key and the fresh outcome
+   (minus wall-clock timings) unchanged.  The default keys stay pinned,
+   so stores written by earlier releases keep hitting. *)
+let test_key_params_complete () =
+  let cfg = Server.config () in
+  let spec = Parser.parse_string spec_text in
+  let base = { Exec.defaults with keep = Some [ "V1_sense"; "V2_show" ] } in
+  let key op p = List.sort compare (Exec.key_params op p) in
+  let fresh op p =
+    match (Exec.exec cfg ~op ~cache:false ~file:"a.fsa" p spec).Exec.oc_result with
+    | Json.Obj ms -> Json.to_string (Json.Obj (List.remove_assoc "timings" ms))
+    | j -> Json.to_string j
+  in
+  List.iter
+    (fun op ->
+      let before = fresh op base in
+      List.iter
+        (fun (name, f) ->
+          let label = Exec.op_to_string op ^ "/" ^ name in
+          let changed = perturb base f in
+          if List.mem f (honoured op) then
+            Alcotest.(check bool) (label ^ ": honoured, keyed") true
+              (key op base <> key op changed)
+          else begin
+            Alcotest.(check bool) (label ^ ": ignored, not keyed") true
+              (key op base = key op changed);
+            Alcotest.(check string) (label ^ ": ignored, same outcome") before
+              (fresh op changed)
+          end)
+        [ ("method", Exec.Meth);
+          ("max_states", Max_states);
+          ("flow", Flow);
+          ("reduce", Reduce);
+          ("sos", Sos);
+          ("keep", Keep) ])
+    Exec.all_ops;
+  let pinned = [ ("max_states", "1000000") ] in
+  let tool =
+    List.sort compare
+      (pinned
+      @ [ ("method", "abstract"); ("engine", "shared-v1"); ("flow", "none") ])
+  in
+  List.iter
+    (fun (op, want) ->
+      Alcotest.(check (list (pair string string)))
+        (Exec.op_to_string op ^ ": default key pinned")
+        want
+        (key op Exec.defaults))
+    [ (Exec.Reach, pinned);
+      (Exec.Verify, pinned);
+      (Exec.Requirements, tool);
+      (Exec.Report, tool);
+      (Exec.Analyze, []);
+      (Exec.Check, []);
+      (Exec.Abstract, [ ("keep", ""); ("max_states", "1000000") ]) ];
+  Alcotest.(check bool) "no members decode to the defaults" true
+    (Exec.params_of_json ~bound:Exec.defaults.max_states (Json.Obj [])
+    = Exec.defaults)
 
 (* A state-space overflow reaches the caller as [Too_large] carrying the
    structural growth hint naming the runaway components. *)
@@ -617,6 +698,47 @@ let test_mistyped_member (member, op, value) () =
     | Some (Json.Str t) -> t <> ""
     | _ -> false)
 
+(* Every bundled spec through every exploring op answers a result or a
+   structured error, never an internal one.  evita_onboard declares no
+   instances: the exploring ops reject it as a bad request, and the
+   executor raises the usage error the CLI maps to exit 2. *)
+let test_examples_never_internal () =
+  match Test_check.spec_dir () with
+  | None -> ()
+  | Some dir ->
+    let cfg = Server.config () in
+    List.iter
+      (fun path ->
+        List.iter
+          (fun op ->
+            let r =
+              parse_response
+                (Server.handle_line cfg
+                   (request
+                      [ ("id", Json.Int 1);
+                        ("op", Json.Str op);
+                        ("spec", Json.Str path);
+                        ("keep", Json.Str "a,b") ]))
+            in
+            let label = Printf.sprintf "%s %s" op (Filename.basename path) in
+            match error_kind r with
+            | None -> Alcotest.(check bool) (label ^ ": ok") true (is_ok r)
+            | Some kind ->
+              Alcotest.(check bool)
+                (label ^ ": structured error, not " ^ kind)
+                true (kind <> "internal"))
+          [ "reach"; "requirements"; "report"; "verify"; "abstract" ])
+      (Test_check.example_files dir);
+    let onboard = Parser.parse_file (Filename.concat dir "evita_onboard.fsa") in
+    let message = "apa_of_spec: the specification declares no instances" in
+    List.iter
+      (fun op ->
+        match Exec.exec cfg ~op ~file:"evita_onboard.fsa" Exec.defaults onboard with
+        | _ -> Alcotest.failf "%s: expected a usage error" (Exec.op_to_string op)
+        | exception Server.Usage_error m ->
+          Alcotest.(check string) (Exec.op_to_string op ^ ": message") message m)
+      [ Exec.Reach; Exec.Requirements ]
+
 let mistyped_members =
   [ ("max_states", "reach", Json.Str "3");
     ("timeout_ms", "reach", Json.Str "1");
@@ -632,10 +754,14 @@ let suite =
   [ Alcotest.test_case "request round-trips" `Quick test_roundtrips;
     Alcotest.test_case "protocol errors" `Quick test_protocol_errors;
     Alcotest.test_case "timeout reply" `Quick test_timeout_reply;
-    Alcotest.test_case "exec cache ignores jobs and reparse" `Quick
-      test_exec_cache_jobs_and_reparse_independent;
+    Alcotest.test_case "exec cache ignores reparse/name" `Quick
+      test_exec_cache_reparse_independent;
     Alcotest.test_case "exec cache: cached = fresh" `Quick
       test_cached_equals_fresh;
+    Alcotest.test_case "cache key covers honoured fields" `Quick
+      test_key_params_complete;
+    Alcotest.test_case "example specs never internal" `Quick
+      test_examples_never_internal;
     Alcotest.test_case "too large carries growth hint" `Quick
       test_too_large_hint;
     Alcotest.test_case "exec caches verify failures" `Quick
