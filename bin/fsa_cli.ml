@@ -1141,43 +1141,6 @@ let report_cmd =
           $ trace_out_arg)
 
 (* --------------------------------------------------------------- *)
-(* fsa lint                                                         *)
-(* --------------------------------------------------------------- *)
-
-let lint_cmd =
-  let run verbose spec_path sos_name =
-    setup_logs verbose;
-    let spec = load_spec spec_path in
-    let soses =
-      try
-        match sos_name with
-        | Some name -> [ Fsa_spec.Elaborate.sos_of_spec spec name ]
-        | None -> Fsa_spec.Elaborate.sos_list spec
-      with
-      | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file:spec_path loc msg
-      | Invalid_argument msg -> die_usage msg
-    in
-    if soses = [] then die_usage "the specification declares no sos";
-    let had_errors = ref false in
-    List.iter
-      (fun sos ->
-        let findings = Fsa_model.Lint.check sos in
-        Fmt.pr "== lint: %s ==@.%a@." (Fsa_model.Sos.name sos)
-          Fsa_model.Lint.pp_report findings;
-        if List.exists (fun w -> Fsa_model.Lint.severity w = `Error) findings
-        then had_errors := true)
-      soses;
-    if !had_errors then exit 1
-  in
-  let sos_name =
-    Arg.(value & opt (some string) None
-         & info [ "sos" ] ~docv:"NAME" ~doc:"Lint only the named sos declaration.")
-  in
-  Cmd.v
-    (Cmd.info "lint" ~doc:"Check a functional model for modelling smells.")
-    Term.(const run $ verbose_arg $ spec_arg $ sos_name)
-
-(* --------------------------------------------------------------- *)
 (* fsa diff                                                         *)
 (* --------------------------------------------------------------- *)
 
@@ -1476,7 +1439,6 @@ let main_cmd =
     [ reach_cmd; requirements_cmd; analyze_cmd; abstract_cmd; scenario_cmd;
       dot_cmd; conf_cmd; simulate_cmd; export_cmd; refine_cmd; check_cmd;
       struct_cmd; sym_cmd; flow_cmd; verify_cmd; monitor_cmd; report_cmd;
-      lint_cmd;
       diff_cmd; serve_cmd; batch_cmd; stats_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

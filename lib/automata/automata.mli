@@ -73,7 +73,8 @@ module Make (L : LABEL) : sig
     (** Hopcroft's partition refinement; result is trim. *)
 
     val minimize_moore : t -> t
-    (** Moore's iterated refinement; for cross-checking [minimize]. *)
+    (** Moore's iterated refinement.  It exists only as the reference
+        that [minimize] is checked against in its agreement test. *)
 
     val is_empty : t -> bool
     val intersection : t -> t -> t

@@ -270,9 +270,9 @@ module Make (V : VERTEX) : S with type vertex = V.t = struct
       g
       (fold_vertices (fun v acc -> add_vertex v acc) g empty)
 
-  (* Dense Floyd-Warshall closure over a bit-matrix: an alternative to the
-     DFS-based closure, faster on dense graphs; kept for the ablation
-     benchmarks and cross-checked against [transitive_closure] in tests. *)
+  (* Dense Floyd-Warshall closure over a bit-matrix.  It exists only as
+     the independent reference that the DFS-based [transitive_closure] is
+     checked against in its agreement test. *)
   let transitive_closure_dense ?(reflexive = false) g =
     let vs = Array.of_seq (Vset.to_seq (vertices g)) in
     let n = Array.length vs in

@@ -41,14 +41,9 @@ let pp_warning ppf = function
     Fmt.pf ppf "action %a receives %d external flows (merge logic?)"
       Action.pp a n
 
-let severity = function
-  | Isolated_action _ | Degenerate_boundary_action _ | Uninfluenced_output _ ->
-    `Error
-  | Unconnected_component _ | Singleton_policy _ | External_fan_in _ ->
-    `Warning
-
 (* Stable diagnostic codes, the manual-path block (FSA03x) of the unified
-   code space rendered by [Fsa_check.Diagnostic]. *)
+   code space rendered by [Fsa_check.Diagnostic], whose registry alone
+   assigns their severities. *)
 let code = function
   | Isolated_action _ -> "FSA030"
   | Unconnected_component _ -> "FSA031"
@@ -56,10 +51,6 @@ let code = function
   | Singleton_policy _ -> "FSA033"
   | Uninfluenced_output _ -> "FSA034"
   | External_fan_in _ -> "FSA035"
-
-let pp_severity ppf = function
-  | `Error -> Fmt.string ppf "error"
-  | `Warning -> Fmt.string ppf "warning"
 
 let check sos =
   let warnings = ref [] in
@@ -128,14 +119,3 @@ let check sos =
       if n >= 3 then warn (External_fan_in (a, n)))
     (Sos.all_actions sos);
   List.rev !warnings
-
-let errors sos = List.filter (fun w -> severity w = `Error) (check sos)
-
-let pp_report ppf warnings =
-  if warnings = [] then Fmt.string ppf "no findings"
-  else
-    Fmt.pf ppf "@[<v>%a@]"
-      Fmt.(
-        list ~sep:cut (fun ppf w ->
-            Fmt.pf ppf "%a: %a" pp_severity (severity w) pp_warning w))
-      warnings

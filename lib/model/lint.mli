@@ -14,13 +14,10 @@ type warning =
   | External_fan_in of Action.t * int
 
 val pp_warning : warning Fmt.t
-val severity : warning -> [ `Error | `Warning ]
-val pp_severity : [ `Error | `Warning ] Fmt.t
 
 val code : warning -> string
 (** Stable diagnostic code (the FSA03x block of the unified code space
-    rendered by [Fsa_check.Diagnostic]). *)
+    rendered by [Fsa_check.Diagnostic], whose registry assigns the
+    severity; [fsa check] reports the findings). *)
 
 val check : Sos.t -> warning list
-val errors : Sos.t -> warning list
-val pp_report : warning list Fmt.t

@@ -331,6 +331,67 @@ let test_registry_complete () =
       Fsa_model.Lint.Unconnected_component "c";
       Fsa_model.Lint.Uninfluenced_output (Fsa_term.Action.make "o") ]
 
+(* [fsa check] is the only front end of the manual-path lint: for every
+   sos it must report exactly the FSA030-FSA035 codes [Lint.check] finds,
+   at the registry's severity (FSA030/032/034 are errors, and fail the
+   run). *)
+let lint_codes = [ "FSA030"; "FSA031"; "FSA032"; "FSA033"; "FSA034"; "FSA035" ]
+let lint_errors = [ "FSA030"; "FSA032"; "FSA034" ]
+
+let check_lint_correspondence name ast =
+  let expected =
+    Fsa_spec.Elaborate.sos_list ast
+    |> List.concat_map (fun sos ->
+           List.map Fsa_model.Lint.code (Fsa_model.Lint.check sos))
+    |> List.sort String.compare
+  in
+  let ds =
+    List.filter (fun d -> List.mem d.D.code lint_codes) (Check.spec ast)
+  in
+  Alcotest.(check (list string)) (name ^ ": lint codes") expected
+    (List.sort String.compare (codes ds));
+  List.iter
+    (fun d ->
+      Alcotest.(check bool)
+        (Fmt.str "%s: %s is an error" name d.D.code)
+        (List.mem d.D.code lint_errors)
+        (d.D.severity = D.Error))
+    ds;
+  expected
+
+let test_check_covers_lint () =
+  (match spec_dir () with
+   | None -> ()
+   | Some dir ->
+     List.iter
+       (fun path -> ignore (check_lint_correspondence path (Parser.parse_file path)))
+       (example_files dir));
+  (* the bundled specs raise only info-level smells; an isolated action
+     raises the error-level ones (FSA034 needs a flow cycle, which no sos
+     admits, so its severity is pinned on the registry alone) *)
+  let found =
+    check_lint_correspondence "degenerate"
+      (parse
+         {|model M(i) {
+             action idle(X_i, a)
+             action a(A_i, a)
+             action b(B_i, b)
+             flow a -> b
+           }
+           sos degenerate { use M(1) as M1 }|})
+  in
+  List.iter
+    (fun code ->
+      Alcotest.(check bool) (code ^ " raised") true (List.mem code found))
+    [ "FSA030"; "FSA032" ];
+  List.iter
+    (fun (code, sev, _) ->
+      if List.mem code lint_codes then
+        Alcotest.(check bool) (code ^ " registry severity")
+          (List.mem code lint_errors)
+          (sev = D.Error))
+    D.registry
+
 let test_werror_promotion () =
   let w = D.warning ~code:"FSA010" "race" in
   let i = D.info ~code:"FSA004" "sink" in
@@ -360,4 +421,5 @@ let suite =
     Alcotest.test_case "JSON output deterministic" `Quick test_json_deterministic;
     Alcotest.test_case "text renderer underlines" `Quick test_render_text_underline;
     Alcotest.test_case "code registry complete" `Quick test_registry_complete;
+    Alcotest.test_case "check covers every lint finding" `Quick test_check_covers_lint;
     Alcotest.test_case "--werror promotion" `Quick test_werror_promotion ]

@@ -75,12 +75,22 @@ let test_diff_removed () =
 (* Lint                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The error-level findings, at the diagnostic registry's severity. *)
+let errors sos =
+  let module D = Fsa_check.Diagnostic in
+  List.filter
+    (fun w ->
+      List.exists
+        (fun (code, sev, _) -> String.equal code (Lint.code w) && sev = D.Error)
+        D.registry)
+    (Lint.check sos)
+
 let test_lint_clean_models () =
   (* the grid model is fan-in heavy but otherwise clean *)
   Alcotest.(check (list string)) "two-vehicle model lints clean" []
     (List.map (Fmt.str "%a" Lint.pp_warning) (Lint.check S.two_vehicles));
   Alcotest.(check int) "grid has no errors" 0
-    (List.length (Lint.errors (Fsa_grid.Scenario.demand_response ())))
+    (List.length (errors (Fsa_grid.Scenario.demand_response ())))
 
 let test_lint_isolated_action () =
   let a = act "A" "go" and stray = act "A" "stray" in
@@ -118,7 +128,7 @@ let test_lint_degenerate_boundary () =
     (List.exists
        (function Lint.Degenerate_boundary_action _ -> true | _ -> false)
        (Lint.check sos));
-  Alcotest.(check bool) "it is an error" true (Lint.errors sos <> [])
+  Alcotest.(check bool) "it is an error" true (errors sos <> [])
 
 let test_lint_singleton_policy () =
   Alcotest.(check bool) "forwarding policy used once in fig4" true
@@ -140,23 +150,7 @@ let test_lint_fan_in () =
        findings);
   (* but none of the findings are errors *)
   Alcotest.(check int) "EVITA has no lint errors" 0
-    (List.length (Lint.errors Fsa_vanet.Evita.model))
-
-let test_lint_report_renders () =
-  let a = act "A" "solo" in
-  let sos =
-    Sos.make "deg" ~components:[ Component.make "A" ~actions:[ a ] ~flows:[] ]
-  in
-  let text = Fmt.str "%a" Lint.pp_report (Lint.check sos) in
-  Alcotest.(check bool) "mentions error" true
-    (let sub = "error" in
-     let rec contains i =
-       i + String.length sub <= String.length text
-       && (String.sub text i (String.length sub) = sub || contains (i + 1))
-     in
-     contains 0);
-  Alcotest.(check string) "clean report" "no findings"
-    (Fmt.str "%a" Lint.pp_report [])
+    (List.length (errors Fsa_vanet.Evita.model))
 
 let suite =
   [ Alcotest.test_case "diff: neutral" `Quick test_diff_neutral;
@@ -168,5 +162,4 @@ let suite =
     Alcotest.test_case "lint: unconnected component" `Quick test_lint_unconnected_component;
     Alcotest.test_case "lint: degenerate boundary" `Quick test_lint_degenerate_boundary;
     Alcotest.test_case "lint: singleton policy" `Quick test_lint_singleton_policy;
-    Alcotest.test_case "lint: external fan-in" `Quick test_lint_fan_in;
-    Alcotest.test_case "lint: report rendering" `Quick test_lint_report_renders ]
+    Alcotest.test_case "lint: external fan-in" `Quick test_lint_fan_in ]

@@ -318,7 +318,8 @@ let test_full_report_deterministic () =
       Alcotest.(check string) (name ^ ": full Markdown deterministic")
         (R.to_markdown a) (R.to_markdown b))
     (List.filter
-       (fun (n, _) -> n = "two_vehicles.fsa" || n = "smart_grid.fsa")
+       (fun (n, _) ->
+         List.mem n [ "two_vehicles.fsa"; "smart_grid.fsa"; "evita_fleet.fsa" ])
        (example_specs ()))
 
 let ids_and_digests rpt =

@@ -233,21 +233,38 @@ let test_reduce_identical_specs () =
       (Test_check.example_files dir);
     Alcotest.(check bool) "at least one spec analysed" true (!analysed > 0)
 
+(* Sym+por on uniform pairs fleets: no fallback, the full run's
+   requirements, and at most [bound] representatives.  The 25% bound is
+   for EVITA-scale fleets (k >= 3 pairs, 2197 full states); the k = 2
+   instance is bounded below by C(14,2)/13^2 = 54% for symmetry alone,
+   so it gets 50% of 169. *)
 let test_reduce_actually_reduces () =
-  let apa = V.pairs ~uniform:true 2 in
-  let pl = Sym.plan ~guard_sig Sym.Sym_por apa in
-  let plain = Analysis.tool ~stakeholder:V.stakeholder apa in
-  let red = Analysis.tool ~reduce:pl ~stakeholder:V.stakeholder apa in
-  match red.Analysis.t_reduction with
-  | None -> Alcotest.fail "expected reduction info"
-  | Some ri ->
-    Alcotest.(check string) "kind" "sym+por" ri.Analysis.ri_kind;
-    Alcotest.(check (option string)) "no fallback" None ri.Analysis.ri_fallback;
-    Alcotest.(check bool) "matched fewer states than the full graph" true
-      (ri.Analysis.ri_reduced_states < plain.Analysis.t_stats.Lts.nb_states);
-    Alcotest.(check bool)
-      "representatives within the quotient bound" true
-      (ri.Analysis.ri_reduced_states <= 91)
+  List.iter
+    (fun (k, bound) ->
+      let apa = V.pairs ~uniform:true k in
+      let pl = Sym.plan ~guard_sig Sym.Sym_por apa in
+      let plain = Analysis.tool ~stakeholder:V.stakeholder apa in
+      let red = Analysis.tool ~reduce:pl ~stakeholder:V.stakeholder apa in
+      let name = Printf.sprintf "pairs-%d" k in
+      let reqs r =
+        List.sort String.compare
+          (List.map Fsa_requirements.Auth.to_string r.Analysis.t_requirements)
+      in
+      Alcotest.(check (list string)) (name ^ ": requirements") (reqs plain)
+        (reqs red);
+      match red.Analysis.t_reduction with
+      | None -> Alcotest.fail "expected reduction info"
+      | Some ri ->
+        Alcotest.(check string) "kind" "sym+por" ri.Analysis.ri_kind;
+        Alcotest.(check (option string)) "no fallback" None ri.Analysis.ri_fallback;
+        Alcotest.(check bool) "matched fewer states than the full graph" true
+          (ri.Analysis.ri_reduced_states < plain.Analysis.t_stats.Lts.nb_states);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %d representatives <= %d" name
+             ri.Analysis.ri_reduced_states bound)
+          true
+          (ri.Analysis.ri_reduced_states <= bound))
+    [ (2, 84); (3, 549) ]
 
 let test_reduce_fallback_on_custom_labels () =
   (* a model with a custom label closure must fall back to unreduced
