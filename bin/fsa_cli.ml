@@ -13,6 +13,7 @@ module Lts = Fsa_lts.Lts
 module Hom = Fsa_hom.Hom
 module Analysis = Fsa_core.Analysis
 module Sym = Fsa_sym.Sym
+module Json = Fsa_json.Json
 
 let setup_logs verbose =
   Fmt_tty.setup_std_outputs ();
@@ -69,24 +70,11 @@ let load_spec path =
   | Error (`Parse (loc, msg)) -> die_loc ~file:path loc msg
   | Error (`Sys msg) -> or_die (Error msg)
 
-let write_or_print ~out content =
-  match out with
-  | None -> print_string content
-  | Some path -> (
-    try
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc content);
-      Fmt.pr "wrote %s@." path
-    with Sys_error msg ->
-      (* the message names the offending path *)
-      or_die (Error msg))
-
-(* Atomic [--out] writes, matching the store's temp+rename convention: a
-   crash mid-write never leaves a truncated file at the target path, and
-   a concurrent reader sees either the old content or the new, never a
-   prefix. *)
+(* Every file output is atomic, matching the store's temp+rename
+   convention: a crash mid-write never leaves a truncated file at the
+   target path, and a concurrent reader sees either the old content or
+   the new, never a prefix.  The "wrote" note goes to stderr, so stdout
+   carries only the command's own output. *)
 let write_atomic ~path content =
   let tmp =
     Filename.concat
@@ -107,6 +95,31 @@ let write_atomic ~path content =
 let write_out ~out content =
   match out with None -> print_string content | Some path -> write_atomic ~path content
 
+(* A JSON document as the CLI prints it: compact, one trailing newline. *)
+let json_line j = Json.to_string j ^ "\n"
+
+(* The sos declarations a command works on: the one named by --sos, else
+   every declared one; none at all is a usage error.  [prefix] names the
+   file in the messages of commands that read several. *)
+let select_soses ?(prefix = "") ~file spec name =
+  let soses =
+    try
+      match name with
+      | Some name -> [ Fsa_spec.Elaborate.sos_of_spec spec name ]
+      | None -> Fsa_spec.Elaborate.sos_list spec
+    with
+    | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file loc msg
+    | Invalid_argument msg -> die_usage msg
+  in
+  if soses = [] then die_usage (prefix ^ "the specification declares no sos");
+  soses
+
+(* The single sos a command works on: the named one, else the only one. *)
+let select_sos ?(prefix = "") ~file spec name =
+  match select_soses ~prefix ~file spec name with
+  | [ sos ] -> sos
+  | _ -> die_usage (prefix ^ "several sos declarations; pick one with --sos")
+
 (* Observability plumbing: either output flag switches the process-wide
    registry on; the dumps are written even if the command dies halfway
    through, so a long exploration that hits the state bound still leaves a
@@ -121,16 +134,13 @@ let with_obs ~metrics_out ~trace_out f =
     Fsa_obs.Metrics.set_enabled true;
     let dump () =
       Fsa_obs.Metrics.set_enabled false;
-      try
-        Option.iter
-          (fun path ->
-            write_or_print ~out:(Some path) (Fsa_obs.Metrics.to_json ()))
-          metrics_out;
-        Option.iter
-          (fun path ->
-            write_or_print ~out:(Some path) (Fsa_obs.Span.to_chrome_json ()))
-          trace_out
-      with Sys_error msg -> or_die (Error msg)
+      Option.iter
+        (fun path ->
+          write_atomic ~path (json_line (Fsa_obs.Metrics.to_json ())))
+        metrics_out;
+      Option.iter
+        (fun path -> write_atomic ~path (Fsa_obs.Span.to_chrome_json ()))
+        trace_out
     in
     Fun.protect ~finally:dump f
   end
@@ -300,7 +310,7 @@ let print_outcome outcome =
   print_string outcome.Exec.oc_output;
   outcome
 
-let result_json outcome = Fsa_store.Json.to_string outcome.Exec.oc_result ^ "\n"
+let result_json outcome = json_line outcome.Exec.oc_result
 
 let out_json_arg =
   Arg.(value & opt (some string) None
@@ -338,7 +348,7 @@ let reach_cmd =
       in
       Fmt.pr "%a@." Lts.pp_stats (Lts.stats lts);
       Fmt.pr "%a@." Lts.pp_min_max lts;
-      write_or_print ~out:(Some path) (Lts.dot lts)
+      write_atomic ~path (Lts.dot lts)
     | None ->
       ignore
         (print_outcome
@@ -467,9 +477,7 @@ let abstract_cmd =
              (Hom.dfa_has_target_before_avoid dfa ~avoid:(img mn)
                 ~target:(img mx)))
       | _ -> ());
-      Option.iter
-        (fun path -> write_or_print ~out:(Some path) (Hom.A.Dfa.dot dfa))
-        dot_out
+      Option.iter (fun path -> write_atomic ~path (Hom.A.Dfa.dot dfa)) dot_out
     | None, [] ->
       print_outcome (exec ~store ~file:spec_path Exec.Abstract p spec)
       |> write_result ~out
@@ -562,20 +570,8 @@ let dot_cmd =
   let run verbose spec_path sos_name out =
     setup_logs verbose;
     let spec = load_spec spec_path in
-    let sos =
-      try
-        match sos_name with
-        | Some name -> Fsa_spec.Elaborate.sos_of_spec spec name
-        | None -> (
-          match Fsa_spec.Elaborate.sos_list spec with
-          | [ sos ] -> sos
-          | [] -> die_usage "the specification declares no sos"
-          | _ -> die_usage "several sos declarations; pick one with --sos")
-      with
-      | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file:spec_path loc msg
-      | Invalid_argument msg -> die_usage msg
-    in
-    write_or_print ~out (Fsa_model.Sos.dot sos)
+    let sos = select_sos ~file:spec_path spec sos_name in
+    write_out ~out (Fsa_model.Sos.dot sos)
   in
   let sos_name =
     Arg.(value & opt (some string) None
@@ -597,16 +593,7 @@ let conf_cmd =
   let run verbose spec_path sos_name confidential =
     setup_logs verbose;
     let spec = load_spec spec_path in
-    let soses =
-      try
-        match sos_name with
-        | Some name -> [ Fsa_spec.Elaborate.sos_of_spec spec name ]
-        | None -> Fsa_spec.Elaborate.sos_list spec
-      with
-      | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file:spec_path loc msg
-      | Invalid_argument msg -> die_usage msg
-    in
-    if soses = [] then die_usage "the specification declares no sos";
+    let soses = select_soses ~file:spec_path spec sos_name in
     let module Conf = Fsa_requirements.Confidentiality in
     let labelling =
       match confidential with
@@ -701,29 +688,17 @@ let export_cmd =
   let run verbose spec_path sos_name format out =
     setup_logs verbose;
     let spec = load_spec spec_path in
-    let sos =
-      try
-        match sos_name with
-        | Some name -> Fsa_spec.Elaborate.sos_of_spec spec name
-        | None -> (
-          match Fsa_spec.Elaborate.sos_list spec with
-          | [ sos ] -> sos
-          | [] -> die_usage "the specification declares no sos"
-          | _ -> die_usage "several sos declarations; pick one with --sos")
-      with
-      | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file:spec_path loc msg
-      | Invalid_argument msg -> die_usage msg
-    in
+    let sos = select_sos ~file:spec_path spec sos_name in
     let reqs = Fsa_requirements.Derive.of_sos sos in
     let classify = Fsa_requirements.Classify.classify sos in
     let content =
       match format with
-      | "json" -> Fsa_requirements.Export.to_json ~classify reqs
+      | "json" -> json_line (Fsa_requirements.Export.to_json ~classify reqs)
       | "csv" -> Fsa_requirements.Export.to_csv ~classify reqs
       | "md" | "markdown" -> Fsa_requirements.Export.to_markdown ~classify reqs
       | f -> die_usage (Printf.sprintf "unknown format %S (json|csv|md)" f)
     in
-    write_or_print ~out content
+    write_out ~out content
   in
   let sos_name =
     Arg.(value & opt (some string) None
@@ -749,19 +724,7 @@ let refine_cmd =
   let run verbose spec_path sos_name cause effect threat =
     setup_logs verbose;
     let spec = load_spec spec_path in
-    let sos =
-      try
-        match sos_name with
-        | Some name -> Fsa_spec.Elaborate.sos_of_spec spec name
-        | None -> (
-          match Fsa_spec.Elaborate.sos_list spec with
-          | [ sos ] -> sos
-          | [] -> die_usage "the specification declares no sos"
-          | _ -> die_usage "several sos declarations; pick one with --sos")
-      with
-      | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file:spec_path loc msg
-      | Invalid_argument msg -> die_usage msg
-    in
+    let sos = select_sos ~file:spec_path spec sos_name in
     let reqs = Fsa_requirements.Derive.of_sos sos in
     let selected =
       List.filter
@@ -833,7 +796,7 @@ let check_cmd =
         if werror then D.promote_warnings diagnostics else diagnostics
       in
       (match format with
-      | `Json -> print_string (D.render_json diagnostics)
+      | `Json -> print_string (json_line (D.to_json diagnostics))
       | `Text ->
         let sources =
           List.filter_map
@@ -907,7 +870,7 @@ let struct_cmd =
            spec_path);
     let report = Structural.analyse ?budget net in
     match format with
-    | `Json -> print_string (Structural.report_to_json report)
+    | `Json -> print_string (json_line (Structural.report_to_json report))
     | `Text -> Fmt.pr "%a@." Structural.pp_report report
   in
   let format_arg =
@@ -944,7 +907,7 @@ let sym_cmd =
       Sym.detect ~guard_sig:(fun r -> List.assoc_opt r sigs) apa
     in
     match format with
-    | `Json -> print_string (Sym.report_to_json report)
+    | `Json -> print_string (json_line (Sym.report_to_json report))
     | `Text ->
       Fmt.pr "%a@." Sym.pp_report report;
       let modules =
@@ -1000,7 +963,8 @@ let flow_cmd =
       die_usage
         (Printf.sprintf "%s declares no rules to analyse" spec_path);
     match format with
-    | `Json -> print_string (Flow.report_to_json (Flow.analyse graph))
+    | `Json ->
+      print_string (json_line (Flow.report_to_json (Flow.analyse graph)))
     | `Dot -> print_string (Flow.to_dot graph)
     | `Text -> Fmt.pr "%a@." Flow.pp_report (Flow.analyse graph)
   in
@@ -1036,8 +1000,8 @@ let verify_cmd =
       print_outcome (exec ~store ~file:spec_path Exec.Verify p spec)
     in
     if outcome.Exec.oc_exit <> 0 then begin
-      (match Fsa_store.Json.member "failed" outcome.Exec.oc_result with
-      | Some (Fsa_store.Json.Int n) ->
+      (match Json.member "failed" outcome.Exec.oc_result with
+      | Some (Json.Int n) ->
         Fmt.epr "fsa: %d check(s) failed@." n
       | _ -> ());
       exit outcome.Exec.oc_exit
@@ -1148,20 +1112,7 @@ let diff_cmd =
   let run verbose before_path after_path sos_name =
     setup_logs verbose;
     let load path =
-      let spec = load_spec path in
-      try
-        match sos_name with
-        | Some name -> Fsa_spec.Elaborate.sos_of_spec spec name
-        | None -> (
-          match Fsa_spec.Elaborate.sos_list spec with
-          | [ sos ] -> sos
-          | [] -> die_usage (path ^ ": the specification declares no sos")
-          | _ ->
-            die_usage
-              (path ^ ": several sos declarations; pick one with --sos"))
-      with
-      | Fsa_spec.Loc.Error (loc, msg) -> die_loc ~file:path loc msg
-      | Invalid_argument msg -> die_usage msg
+      select_sos ~prefix:(path ^ ": ") ~file:path (load_spec path) sos_name
     in
     let before = load before_path and after = load after_path in
     let d = Fsa_requirements.Diff.compare_models ~before ~after () in
@@ -1323,7 +1274,6 @@ let batch_cmd =
 (* --------------------------------------------------------------- *)
 
 let stats_cmd =
-  let module Json = Fsa_store.Json in
   (* numeric members arrive as Int or Float depending on their value *)
   let num j k =
     match Option.bind j (Json.member k) with
@@ -1384,7 +1334,9 @@ let stats_cmd =
                socket (Unix.error_message e))));
     let ic = Unix.in_channel_of_descr sock in
     let oc = Unix.out_channel_of_descr sock in
-    output_string oc "{\"id\":\"stats\",\"op\":\"stats\"}\n";
+    output_string oc
+      (json_line
+         (Json.Obj [ ("id", Json.Str "stats"); ("op", Json.Str "stats") ]));
     flush oc;
     let line =
       match input_line ic with

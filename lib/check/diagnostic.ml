@@ -2,6 +2,7 @@
    deterministic renderers. *)
 
 module Loc = Fsa_spec.Loc
+module Json = Fsa_json.Json
 
 type severity = Error | Warning | Info
 
@@ -255,38 +256,25 @@ let render_text ?(sources = []) ds =
 (* JSON rendering                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let render_json ds =
-  let buf = Buffer.create 256 in
-  let str s =
-    Buffer.add_char buf '"';
-    Fsa_obs.Metrics.json_escape buf s;
-    Buffer.add_char buf '"'
-  in
-  Buffer.add_string buf "[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf "\n  {";
-      (match d.file with
-      | Some f ->
-        Buffer.add_string buf "\"file\": ";
-        str f;
-        Buffer.add_string buf ", "
-      | None -> ());
-      Buffer.add_string buf "\"code\": ";
-      str d.code;
-      Buffer.add_string buf ", \"severity\": ";
-      str (severity_to_string d.severity);
-      (match d.loc with
+let to_json ds =
+  let one d =
+    let file =
+      match d.file with Some f -> [ ("file", Json.Str f) ] | None -> []
+    in
+    let loc =
+      match d.loc with
       | Some l when not (Loc.is_dummy l) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             ", \"line\": %d, \"col\": %d, \"endLine\": %d, \"endCol\": %d"
-             l.Loc.line l.Loc.col l.Loc.end_line l.Loc.end_col)
-      | Some _ | None -> ());
-      Buffer.add_string buf ", \"message\": ";
-      str d.message;
-      Buffer.add_string buf "}")
-    (sort ds);
-  Buffer.add_string buf (if ds = [] then "]\n" else "\n]\n");
-  Buffer.contents buf
+        [ ("line", Json.Int l.Loc.line);
+          ("col", Json.Int l.Loc.col);
+          ("endLine", Json.Int l.Loc.end_line);
+          ("endCol", Json.Int l.Loc.end_col) ]
+      | Some _ | None -> []
+    in
+    Json.Obj
+      (file
+      @ [ ("code", Json.Str d.code);
+          ("severity", Json.Str (severity_to_string d.severity)) ]
+      @ loc
+      @ [ ("message", Json.Str d.message) ])
+  in
+  Json.List (List.map one (sort ds))

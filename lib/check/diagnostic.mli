@@ -75,6 +75,8 @@ val render_text : ?sources:(string * string) list -> t list -> string
     contents; when the source of a located diagnostic is available the
     offending span is underlined. *)
 
-val render_json : t list -> string
-(** Deterministic JSON array (sorted diagnostics, fixed key order,
-    trailing newline). *)
+val to_json : t list -> Fsa_json.Json.t
+(** Deterministic JSON array: the diagnostics sorted, each an object
+    with [file] (when known), [code], [severity], then
+    [line]/[col]/[endLine]/[endCol] (when the location is not dummy)
+    and [message]. *)

@@ -11,6 +11,7 @@ module Term = Fsa_term.Term
 module Apa = Fsa_apa.Apa
 module Span = Fsa_obs.Span
 module Metrics = Fsa_obs.Metrics
+module Json = Fsa_json.Json
 
 let pairs_pruned = Metrics.counter "flow.pairs_pruned"
 
@@ -563,105 +564,55 @@ let pp_report ppf r =
     r.r_independent_pairs r.r_rule_pairs r.r_skeleton_independent_pairs
 
 let report_to_json r =
-  let buf = Buffer.create 1024 in
-  let str s =
-    Buffer.add_char buf '"';
-    Metrics.json_escape buf s;
-    Buffer.add_char buf '"'
+  let strs l = Json.List (List.map (fun s -> Json.Str s) l) in
+  let list f l = Json.List (List.map f l) in
+  let edges =
+    list (fun e ->
+        Json.Obj
+          [ ("src", Json.Str e.e_src);
+            ("dst", Json.Str e.e_dst);
+            ("component", Json.Str e.e_component);
+            ("consume", Json.Bool e.e_consume);
+            ("cross", Json.Bool e.e_cross);
+            ("unguarded", Json.Bool e.e_unguarded) ])
   in
-  let str_list l =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_string buf ", ";
-        str s)
-      l;
-    Buffer.add_char buf ']'
-  in
-  let edge_list l =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i e ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf "{\"src\": ";
-        str e.e_src;
-        Buffer.add_string buf ", \"dst\": ";
-        str e.e_dst;
-        Buffer.add_string buf ", \"component\": ";
-        str e.e_component;
-        Buffer.add_string buf
-          (Printf.sprintf ", \"consume\": %b, \"cross\": %b, \"unguarded\": %b}"
-             e.e_consume e.e_cross e.e_unguarded))
-      l;
-    Buffer.add_char buf ']'
-  in
-  Buffer.add_string buf "{\n  \"rules\": ";
-  str_list r.r_rules;
-  Buffer.add_string buf ",\n  \"components\": ";
-  str_list r.r_components;
-  Buffer.add_string buf ",\n  \"edges\": ";
-  edge_list r.r_edges;
-  Buffer.add_string buf ",\n  \"kills\": [";
-  List.iteri
-    (fun i k ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf "{\"src\": ";
-      str k.k_src;
-      Buffer.add_string buf ", \"dst\": ";
-      str k.k_dst;
-      Buffer.add_string buf ", \"component\": ";
-      str k.k_component;
-      Buffer.add_string buf ", \"bindings\": [";
-      List.iteri
-        (fun j (v, t) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf "{\"var\": ";
-          str v;
-          Buffer.add_string buf ", \"term\": ";
-          str (Term.to_string t);
-          Buffer.add_char buf '}')
-        k.k_bindings;
-      Buffer.add_string buf "]}")
-    r.r_kills;
-  Buffer.add_string buf "]";
-  Buffer.add_string buf ",\n  \"channels\": ";
-  str_list r.r_shared;
-  Buffer.add_string buf ",\n  \"protected\": ";
-  str_list r.r_protected;
-  Buffer.add_string buf ",\n  \"entries\": ";
-  str_list r.r_entries;
-  Buffer.add_string buf ",\n  \"outputs\": ";
-  str_list r.r_outputs;
-  Buffer.add_string buf ",\n  \"leaks\": [";
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf "{\"source\": ";
-      str l.lk_source;
-      Buffer.add_string buf ", \"channel\": ";
-      str l.lk_channel;
-      Buffer.add_string buf ", \"path\": ";
-      str_list l.lk_rules;
-      Buffer.add_char buf '}')
-    r.r_leaks;
-  Buffer.add_string buf "]";
-  Buffer.add_string buf ",\n  \"unsanitized\": ";
-  edge_list r.r_unsanitized;
-  Buffer.add_string buf ",\n  \"dead_sources\": ";
-  str_list r.r_dead;
-  Buffer.add_string buf ",\n  \"unguarded_cycles\": [";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string buf ", ";
-      str_list c)
-    r.r_cycles;
-  Buffer.add_string buf "]";
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\n  \"independent_pairs\": %d,\n  \"skeleton_independent_pairs\": \
-        %d,\n  \"rule_pairs\": %d\n}\n"
-       r.r_independent_pairs r.r_skeleton_independent_pairs r.r_rule_pairs);
-  Buffer.contents buf
+  Json.Obj
+    [ ("rules", strs r.r_rules);
+      ("components", strs r.r_components);
+      ("edges", edges r.r_edges);
+      ( "kills",
+        list
+          (fun k ->
+            Json.Obj
+              [ ("src", Json.Str k.k_src);
+                ("dst", Json.Str k.k_dst);
+                ("component", Json.Str k.k_component);
+                ( "bindings",
+                  list
+                    (fun (v, t) ->
+                      Json.Obj
+                        [ ("var", Json.Str v);
+                          ("term", Json.Str (Term.to_string t)) ])
+                    k.k_bindings ) ])
+          r.r_kills );
+      ("channels", strs r.r_shared);
+      ("protected", strs r.r_protected);
+      ("entries", strs r.r_entries);
+      ("outputs", strs r.r_outputs);
+      ( "leaks",
+        list
+          (fun l ->
+            Json.Obj
+              [ ("source", Json.Str l.lk_source);
+                ("channel", Json.Str l.lk_channel);
+                ("path", strs l.lk_rules) ])
+          r.r_leaks );
+      ("unsanitized", edges r.r_unsanitized);
+      ("dead_sources", strs r.r_dead);
+      ("unguarded_cycles", list strs r.r_cycles);
+      ("independent_pairs", Json.Int r.r_independent_pairs);
+      ("skeleton_independent_pairs", Json.Int r.r_skeleton_independent_pairs);
+      ("rule_pairs", Json.Int r.r_rule_pairs) ]
 
 (* ------------------------------------------------------------------ *)
 (* DOT                                                                 *)

@@ -212,8 +212,8 @@ val analyse : t -> report
 
 val pp_report : report Fmt.t
 
-val report_to_json : report -> string
-(** Deterministic JSON object (fixed key order, trailing newline). *)
+val report_to_json : report -> Fsa_json.Json.t
+(** Deterministic JSON object (fixed key order). *)
 
 val to_dot : t -> string
 (** Graphviz rendering of the bipartite graph: components as boxes

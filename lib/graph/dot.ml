@@ -59,9 +59,3 @@ let to_string t =
   Fmt.pf ppf "}@.";
   Format.pp_print_flush ppf ();
   Buffer.contents buf
-
-let write_file path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))

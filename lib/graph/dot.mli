@@ -7,4 +7,3 @@ val node : ?attrs:(string * string) list -> t -> string -> unit
 val edge : ?attrs:(string * string) list -> t -> string -> string -> unit
 val quote : string -> string
 val to_string : t -> string
-val write_file : string -> t -> unit

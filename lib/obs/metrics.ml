@@ -13,6 +13,8 @@
    numbers are printed in a locale-independent way, so metric dumps can be
    compared across runs and asserted on in tests. *)
 
+module Json = Fsa_json.Json
+
 let enabled_flag = ref false
 let set_enabled b = enabled_flag := b
 let enabled () = !enabled_flag
@@ -199,81 +201,39 @@ let gauges () =
 (* Serialisation                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape b s =
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let json_float v =
+(* Floats in the text formats (Prometheus exposition, [pp_summary]):
+   integral values without a fraction, the rest to six significant
+   digits. *)
+let text_float v =
   if not (Float.is_finite v) then "0"
   else if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.6g" v
 
-let add_fields b ~add_value fields =
-  let first = ref true in
-  List.iter
-    (fun (name, v) ->
-      if not !first then Buffer.add_string b ",\n";
-      first := false;
-      Buffer.add_string b "    \"";
-      json_escape b name;
-      Buffer.add_string b "\": ";
-      add_value b v)
-    fields
-
 let to_json () =
-  let b = Buffer.create 1024 in
   let metrics = sorted_metrics () in
-  let counters =
-    List.filter_map
-      (function name, Counter c -> Some (name, c) | _ -> None)
-      metrics
-  and gauges =
-    List.filter_map
-      (function name, Gauge g -> Some (name, g) | _ -> None)
-      metrics
-  and histograms =
-    List.filter_map
-      (function name, Histogram h -> Some (name, h) | _ -> None)
-      metrics
-  in
-  Buffer.add_string b "{\n  \"counters\": {\n";
-  add_fields b counters ~add_value:(fun b c ->
-      Buffer.add_string b (string_of_int (Atomic.get c.c_value)));
-  Buffer.add_string b "\n  },\n  \"gauges\": {\n";
-  add_fields b gauges ~add_value:(fun b g ->
-      Buffer.add_string b (json_float (Atomic.get g.g_value)));
-  Buffer.add_string b "\n  },\n  \"histograms\": {\n";
-  add_fields b histograms ~add_value:(fun b h ->
-      Buffer.add_string b "{\"bounds\": [";
-      Array.iteri
-        (fun i bound ->
-          if i > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b (json_float bound))
-        h.h_bounds;
-      Buffer.add_string b "], \"counts\": [";
-      Array.iteri
-        (fun i c ->
-          if i > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b (string_of_int c))
-        h.h_counts;
-      Buffer.add_string b "], \"sum\": ";
-      Buffer.add_string b (json_float h.h_sum);
-      Buffer.add_string b ", \"count\": ";
-      Buffer.add_string b (string_of_int h.h_count);
-      Buffer.add_string b "}");
-  Buffer.add_string b "\n  }\n}\n";
-  Buffer.contents b
+  let section f = Json.Obj (List.filter_map f metrics) in
+  let array f a = Json.List (Array.to_list (Array.map f a)) in
+  Json.Obj
+    [ ( "counters",
+        section (function
+          | name, Counter c -> Some (name, Json.Int (Atomic.get c.c_value))
+          | _ -> None) );
+      ( "gauges",
+        section (function
+          | name, Gauge g -> Some (name, Json.Float (Atomic.get g.g_value))
+          | _ -> None) );
+      ( "histograms",
+        section (function
+          | name, Histogram h ->
+            Some
+              ( name,
+                Json.Obj
+                  [ ("bounds", array (fun v -> Json.Float v) h.h_bounds);
+                    ("counts", array (fun c -> Json.Int c) h.h_counts);
+                    ("sum", Json.Float h.h_sum);
+                    ("count", Json.Int h.h_count) ] )
+          | _ -> None) ) ]
 
 (* Prometheus text exposition format.  Metric names may not contain
    dots, so "server.latency_ms" is exposed as "server_latency_ms";
@@ -289,7 +249,7 @@ let prometheus_name name =
 
 let prometheus_float v =
   if not (Float.is_finite v) then if v > 0. then "+Inf" else "-Inf"
-  else json_float v
+  else text_float v
 
 let to_prometheus () =
   let b = Buffer.create 1024 in
@@ -335,9 +295,9 @@ let pp_summary ppf () =
       match m with
       | Counter c -> Fmt.pf ppf "%-40s %12d@," name (Atomic.get c.c_value)
       | Gauge g ->
-        Fmt.pf ppf "%-40s %12s@," name (json_float (Atomic.get g.g_value))
+        Fmt.pf ppf "%-40s %12s@," name (text_float (Atomic.get g.g_value))
       | Histogram h ->
         Fmt.pf ppf "%-40s count=%d sum=%s@," name h.h_count
-          (json_float h.h_sum))
+          (text_float h.h_sum))
     metrics;
   Fmt.pf ppf "@]"

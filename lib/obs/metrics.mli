@@ -83,10 +83,11 @@ val counters : unit -> (string * int) list
 
 val gauges : unit -> (string * float) list
 
-val to_json : unit -> string
+val to_json : unit -> Fsa_json.Json.t
 (** Deterministic JSON dump of the whole registry:
     [{"counters": {..}, "gauges": {..}, "histograms": {..}}], keys sorted
-    by name. *)
+    by name.  Each histogram is
+    [{"bounds": [..], "counts": [..], "sum": .., "count": ..}]. *)
 
 val to_prometheus : unit -> string
 (** The registry in Prometheus text exposition format.  Names are
@@ -97,8 +98,3 @@ val to_prometheus : unit -> string
 
 val pp_summary : unit Fmt.t
 (** Human-readable table of every instrument. *)
-
-(**/**)
-
-val json_escape : Buffer.t -> string -> unit
-(** JSON string-content escaping, shared with {!Span}. *)

@@ -14,6 +14,8 @@
    [capacity] ones, in order" a structural property rather than a
    bookkeeping obligation. *)
 
+module Json = Fsa_json.Json
+
 type kind =
   | Enqueue
   | Dequeue
@@ -103,37 +105,22 @@ let recorded () = Mutex.protect lock (fun () -> !next_seq)
 (* Dumps                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let event_json ev =
-  let b = Buffer.create 128 in
-  Buffer.add_string b "{\"seq\":";
-  Buffer.add_string b (string_of_int ev.r_seq);
-  Buffer.add_string b ",\"t_us\":";
-  Buffer.add_string b (Span.us_of_ns ev.r_time_ns);
-  Buffer.add_string b ",\"domain\":";
-  Buffer.add_string b (string_of_int ev.r_domain);
-  Buffer.add_string b ",\"kind\":\"";
-  Buffer.add_string b (kind_to_string ev.r_kind);
-  Buffer.add_string b "\",\"detail\":\"";
-  Metrics.json_escape b ev.r_detail;
-  Buffer.add_string b "\"}";
-  Buffer.contents b
-
-(* Deterministic: events in sequence order, fixed member order, fixed
-   number formatting — two dumps of the same ring state are identical. *)
+(* Deterministic: events in sequence order, fixed member order — two
+   dumps of the same ring state are identical. *)
 let dump_trace ~trace_id =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"trace_id\":\"";
-  Metrics.json_escape b trace_id;
-  Buffer.add_string b "\",\"events\":[\n";
-  let first = ref true in
-  List.iter
-    (fun ev ->
-      if not !first then Buffer.add_string b ",\n";
-      first := false;
-      Buffer.add_string b (event_json ev))
-    (events_for_trace trace_id);
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let event ev =
+    Json.Obj
+      [ ("seq", Json.Int ev.r_seq);
+        ("t_us", Json.Float (Int64.to_float ev.r_time_ns /. 1e3));
+        ("domain", Json.Int ev.r_domain);
+        ("kind", Json.Str (kind_to_string ev.r_kind));
+        ("detail", Json.Str ev.r_detail) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("trace_id", Json.Str trace_id);
+         ("events", Json.List (List.map event (events_for_trace trace_id))) ])
+  ^ "\n"
 
 (* Mirror span boundaries into the ring as phase events.  Installed at
    module initialisation: any program that links the recorder gets phase

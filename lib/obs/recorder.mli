@@ -47,7 +47,8 @@ val events_for_trace : string -> event list
 
 val dump_trace : trace_id:string -> string
 (** Deterministic JSON dump of the surviving events carrying [trace_id]:
-    [{"trace_id": .., "events": [..]}], events in sequence order. *)
+    [{"trace_id": .., "events": [..]}], events in sequence order,
+    compact with one trailing newline. *)
 
 val capacity : unit -> int
 

@@ -20,6 +20,8 @@
    [Metrics.enabled]: with observability off, [with_] is a tail call to
    its body. *)
 
+module Json = Fsa_json.Json
+
 type event = {
   ev_name : string;
   ev_cat : string;
@@ -161,43 +163,31 @@ let events () =
 let events_for_trace trace =
   List.filter (fun ev -> String.equal ev.ev_trace trace) (events ())
 
-(* Fixed-point microseconds with nanosecond precision: deterministic and
-   valid as a JSON number. *)
-let us_of_ns ns =
-  Printf.sprintf "%Ld.%03Ld" (Int64.div ns 1_000L) (Int64.rem ns 1_000L)
+(* Microseconds as a JSON float.  The default clock is rebased to
+   process start, so offsets stay far below 2^53 ns and the printed
+   value keeps every nanosecond digit. *)
+let json_us ns = Json.Float (Int64.to_float ns /. 1e3)
 
 let to_chrome_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "[\n";
-  let first = ref true in
-  List.iter
-    (fun ev ->
-      if not !first then Buffer.add_string b ",\n";
-      first := false;
-      Buffer.add_string b "{\"name\":\"";
-      Metrics.json_escape b ev.ev_name;
-      Buffer.add_string b "\",\"cat\":\"";
-      Metrics.json_escape b ev.ev_cat;
-      Buffer.add_string b "\",\"ph\":\"X\",\"ts\":";
-      Buffer.add_string b (us_of_ns ev.ev_start_ns);
-      Buffer.add_string b ",\"dur\":";
-      Buffer.add_string b (us_of_ns ev.ev_dur_ns);
-      Buffer.add_string b ",\"pid\":0,\"tid\":";
-      Buffer.add_string b (string_of_int ev.ev_domain);
-      Buffer.add_string b ",\"args\":{\"depth\":";
-      Buffer.add_string b (string_of_int ev.ev_depth);
-      if ev.ev_trace <> "" then begin
-        Buffer.add_string b ",\"trace\":\"";
-        Metrics.json_escape b ev.ev_trace;
-        Buffer.add_string b "\",\"span\":";
-        Buffer.add_string b (string_of_int ev.ev_id);
-        Buffer.add_string b ",\"parent\":";
-        Buffer.add_string b (string_of_int ev.ev_parent)
-      end;
-      Buffer.add_string b "}}")
-    (events ());
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b
+  let event ev =
+    let trace =
+      if ev.ev_trace = "" then []
+      else
+        [ ("trace", Json.Str ev.ev_trace);
+          ("span", Json.Int ev.ev_id);
+          ("parent", Json.Int ev.ev_parent) ]
+    in
+    Json.Obj
+      [ ("name", Json.Str ev.ev_name);
+        ("cat", Json.Str ev.ev_cat);
+        ("ph", Json.Str "X");
+        ("ts", json_us ev.ev_start_ns);
+        ("dur", json_us ev.ev_dur_ns);
+        ("pid", Json.Int 0);
+        ("tid", Json.Int ev.ev_domain);
+        ("args", Json.Obj (("depth", Json.Int ev.ev_depth) :: trace)) ]
+  in
+  Json.to_string (Json.List (List.map event (events ()))) ^ "\n"
 
 let pp_dur ppf ns =
   let f = Int64.to_float ns in

@@ -79,15 +79,11 @@ val events_for_trace : string -> event list
 val reset : unit -> unit
 
 val to_chrome_json : unit -> string
-(** The recorded spans as a Chrome trace_event JSON array — one complete
-    ("ph":"X") event per line, timestamps in microseconds, the recording
-    domain as [tid], trace/span/parent ids under [args] when the span
-    belongs to a trace.  Open the file in chrome://tracing or
-    {{:https://ui.perfetto.dev}Perfetto}. *)
-
-val us_of_ns : int64 -> string
-(** Nanoseconds rendered as fixed-point microseconds ("1234.567"):
-    deterministic and valid as a JSON number.  Shared with {!Recorder}. *)
+(** The recorded spans as a Chrome trace_event JSON array (compact, one
+    trailing newline) of complete ("ph":"X") events, timestamps in
+    microseconds, the recording domain as [tid], trace/span/parent ids
+    under [args] when the span belongs to a trace.  Open the file in
+    chrome://tracing or {{:https://ui.perfetto.dev}Perfetto}. *)
 
 val pp_dur : int64 Fmt.t
 (** Human-readable duration (ns/us/ms/s). *)

@@ -20,7 +20,7 @@ module Analysis = Fsa_core.Analysis
 module Lts = Fsa_lts.Lts
 module Hom = Fsa_hom.Hom
 module Elaborate = Fsa_spec.Elaborate
-module Json = Fsa_store.Json
+module Json = Fsa_json.Json
 module Store = Fsa_store.Store
 
 let schema = "fsa-report/1"

@@ -22,7 +22,7 @@
       and {!Fsa_requirements.Prioritise} scores;
     - a verification method is assigned per requirement by a
       deterministic heuristic (see {!verification});
-    - emission is deterministic JSON ({!Fsa_store.Json}: fixed member
+    - emission is deterministic JSON ({!Fsa_json.Json}: fixed member
       order, no wall-clock values) and Markdown — two runs over the
       same model produce byte-identical reports. *)
 
@@ -185,7 +185,7 @@ val of_manual :
 
 (** {1 Emission} *)
 
-val to_json : ?body_only:bool -> t -> Fsa_store.Json.t
+val to_json : ?body_only:bool -> t -> Fsa_json.Json.t
 (** Deterministic JSON ({!schema}).  [body_only] (default [false])
     omits the run-dependent blocks — settings, pair coverage, graph
     shape, per-item automata — leaving the engine/reduction-invariant

@@ -3,69 +3,34 @@
    Requirements inspection, categorisation and prioritisation (the steps
    following elicitation in the paper's process) typically happen in
    external tools; this module renders requirement sets as JSON, CSV and
-   Markdown.  The JSON writer is self-contained (no external dependency):
-   the emitted structure is an array of objects with the requirement
-   triple, its classification and prose. *)
+   Markdown.  The JSON document is an array of objects with the
+   requirement triple, its classification and prose. *)
 
 module Action = Fsa_term.Action
 module Agent = Fsa_term.Agent
-
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON emission                                               *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
-
-let json_object fields =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> json_string k ^ ": " ^ v) fields)
-  ^ "}"
-
-let json_array items = "[" ^ String.concat ", " items ^ "]"
-
-(* ------------------------------------------------------------------ *)
-(* Requirement export                                                  *)
-(* ------------------------------------------------------------------ *)
+module Json = Fsa_json.Json
 
 let class_string = function
   | Classify.Safety_critical -> "safety-critical"
   | Classify.Policy_induced policies ->
     "policy-induced: " ^ String.concat ", " policies
 
-let requirement_fields ?classification r =
-  [ ("cause", json_string (Action.to_string (Auth.cause r)));
-    ("effect", json_string (Action.to_string (Auth.effect r)));
-    ("stakeholder", json_string (Agent.to_string (Auth.stakeholder r)));
-    ("formal", json_string (Auth.to_string r));
-    ("prose", json_string (Fmt.str "%a" Auth.pp_prose r)) ]
-  @
-  match classification with
-  | None -> []
-  | Some c -> [ ("classification", json_string (class_string c)) ]
-
 let to_json ?classify reqs =
   let entry r =
-    let classification = Option.map (fun f -> f r) classify in
-    json_object (requirement_fields ?classification r)
+    let classification =
+      match classify with
+      | None -> []
+      | Some f -> [ ("classification", Json.Str (class_string (f r))) ]
+    in
+    Json.Obj
+      ([ ("cause", Json.Str (Action.to_string (Auth.cause r)));
+         ("effect", Json.Str (Action.to_string (Auth.effect r)));
+         ("stakeholder", Json.Str (Agent.to_string (Auth.stakeholder r)));
+         ("formal", Json.Str (Auth.to_string r));
+         ("prose", Json.Str (Fmt.str "%a" Auth.pp_prose r)) ]
+      @ classification)
   in
-  json_array (List.map entry (Auth.normalise reqs))
+  Json.List (List.map entry (Auth.normalise reqs))
 
 (* CSV with a header row; fields are quoted, embedded quotes doubled. *)
 let csv_quote s =
@@ -119,22 +84,3 @@ let to_markdown ?classify reqs =
       Buffer.add_char buf '\n')
     (Auth.normalise reqs);
   Buffer.contents buf
-
-(* Atomic publish: write to a sibling temporary file, then rename into
-   place, so a concurrent reader never observes a truncated export. *)
-let write_file path content =
-  let tmp =
-    Filename.temp_file
-      ~temp_dir:(Filename.dirname path)
-      ("." ^ Filename.basename path ^ ".")
-      ".tmp"
-  in
-  (try
-     let oc = open_out tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () -> output_string oc content)
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path

@@ -4,17 +4,15 @@
 module Action = Fsa_term.Action
 module Agent = Fsa_term.Agent
 
-val json_escape : string -> string
-val json_string : string -> string
 val class_string : Classify.class_ -> string
 
-val to_json : ?classify:(Auth.t -> Classify.class_) -> Auth.t list -> string
+val to_json :
+  ?classify:(Auth.t -> Classify.class_) -> Auth.t list -> Fsa_json.Json.t
+(** An array of [{"cause", "effect", "stakeholder", "formal", "prose"}]
+    objects (plus ["classification"] under [classify]), one per
+    requirement of the normalised set. *)
+
 val to_csv : ?classify:(Auth.t -> Classify.class_) -> Auth.t list -> string
 
 val to_markdown :
   ?classify:(Auth.t -> Classify.class_) -> Auth.t list -> string
-
-val write_file : string -> string -> unit
-(** Atomic write: the content goes to a sibling temporary file which is
-    then renamed into place, so a concurrent reader never observes a
-    partially written export. *)

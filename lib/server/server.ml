@@ -33,7 +33,7 @@ module Loc = Fsa_spec.Loc
 module Sos = Fsa_model.Sos
 module Apa = Fsa_apa.Apa
 module Report = Fsa_report.Report
-module Json = Fsa_store.Json
+module Json = Fsa_json.Json
 module Store = Fsa_store.Store
 module Metrics = Fsa_obs.Metrics
 module Structural = Fsa_struct.Structural
@@ -746,11 +746,8 @@ module Exec = struct
   let run_check ~file spec =
     let module D = Fsa_check.Diagnostic in
     let ds = Fsa_check.Check.spec ~file spec in
-    let rendered = D.render_json ds in
-    let result =
-      match Json.parse rendered with Ok j -> j | Error _ -> Json.Str rendered
-    in
-    (result, rendered, if D.has_errors ds then 1 else 0)
+    let result = D.to_json ds in
+    (result, Json.to_string result ^ "\n", if D.has_errors ds then 1 else 0)
 
   let digest_parts = function
     | Reach | Abstract -> [ `Apa ]

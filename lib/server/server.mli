@@ -70,7 +70,7 @@
 
 module Action = Fsa_term.Action
 module Agent = Fsa_term.Agent
-module Json = Fsa_store.Json
+module Json = Fsa_json.Json
 module Store = Fsa_store.Store
 
 type config = {

@@ -8,6 +8,7 @@
    the file mtime: [find] touches the file on a hit, [add] evicts
    oldest-first until the directory is back under its size budget. *)
 
+module Json = Fsa_json.Json
 module Metrics = Fsa_obs.Metrics
 module Recorder = Fsa_obs.Recorder
 

@@ -51,7 +51,7 @@ val cache_key :
 type entry = {
   e_key : string;  (** the cache key the entry answers *)
   e_kind : string;  (** analysis kind, e.g. ["requirements"] *)
-  e_result : Json.t;
+  e_result : Fsa_json.Json.t;
       (** structured result: the reachability summary (state/transition
           counts, minima, maxima, deadlocks) and the derived requirement
           set, as produced by the executor *)
@@ -76,5 +76,5 @@ val occupancy : t -> int * int
 
 (**/**)
 
-val entry_to_json : entry -> Json.t
+val entry_to_json : entry -> Fsa_json.Json.t
 (** The on-disk representation (checksum included), exposed for tests. *)

@@ -9,6 +9,7 @@ module Term = Fsa_term.Term
 module Apa = Fsa_apa.Apa
 module Span = Fsa_obs.Span
 module Metrics = Fsa_obs.Metrics
+module Json = Fsa_json.Json
 
 type place = { pl_name : string; pl_initial : Term.Set.t }
 
@@ -770,102 +771,39 @@ let pp_report ppf r =
     r.r_independent_pairs r.r_rule_pairs
 
 let report_to_json r =
-  let buf = Buffer.create 1024 in
-  let str s =
-    Buffer.add_char buf '"';
-    Metrics.json_escape buf s;
-    Buffer.add_char buf '"'
+  let strs l = Json.List (List.map (fun s -> Json.Str s) l) in
+  let list f l = Json.List (List.map f l) in
+  let vec v = list (fun n -> Json.Int n) (Array.to_list v) in
+  let named_ints =
+    list (fun (c, n) ->
+        Json.Obj [ ("component", Json.Str c); ("value", Json.Int n) ])
   in
-  let str_list l =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_string buf ", ";
-        str s)
-      l;
-    Buffer.add_char buf ']'
-  in
-  let int_vec v =
-    Buffer.add_char buf '[';
-    Array.iteri
-      (fun i n ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf (string_of_int n))
-      v;
-    Buffer.add_char buf ']'
-  in
-  let vec_list vs =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_string buf ", ";
-        int_vec v)
-      vs;
-    Buffer.add_char buf ']'
-  in
-  let named_ints l =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i (c, n) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf "{\"component\": ";
-        str c;
-        Buffer.add_string buf (Printf.sprintf ", \"value\": %d}" n))
-      l;
-    Buffer.add_char buf ']'
-  in
-  let set_list l =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_string buf ", ";
-        str_list s)
-      l;
-    Buffer.add_char buf ']'
-  in
-  Buffer.add_string buf "{\n  \"places\": ";
-  str_list (Array.to_list r.r_places);
-  Buffer.add_string buf ",\n  \"rules\": ";
-  str_list (Array.to_list r.r_rules);
-  Buffer.add_string buf ",\n  \"incidence\": ";
-  vec_list (Array.to_list r.r_matrix);
-  Buffer.add_string buf ",\n  \"p_invariants\": ";
-  vec_list r.r_p_invariants;
-  Buffer.add_string buf ",\n  \"t_invariants\": ";
-  vec_list r.r_t_invariants;
-  Buffer.add_string buf ",\n  \"bounds\": ";
-  named_ints r.r_bounds;
-  Buffer.add_string buf ",\n  \"potentially_unbounded\": ";
-  named_ints r.r_unbounded;
-  Buffer.add_string buf ",\n  \"certified_infinite\": [";
-  List.iteri
-    (fun i (rl, c, why) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf "{\"rule\": ";
-      str rl;
-      Buffer.add_string buf ", \"component\": ";
-      str c;
-      Buffer.add_string buf ", \"reason\": ";
-      str why;
-      Buffer.add_char buf '}')
-    r.r_certified;
-  Buffer.add_string buf "]";
-  Buffer.add_string buf ",\n  \"growth\": ";
-  named_ints r.r_growth;
-  Buffer.add_string buf ",\n  \"siphons\": ";
-  set_list r.r_siphons;
-  Buffer.add_string buf
-    (Printf.sprintf ",\n  \"siphons_complete\": %b" r.r_siphons_complete);
-  Buffer.add_string buf ",\n  \"traps\": ";
-  set_list r.r_traps;
-  Buffer.add_string buf
-    (Printf.sprintf ",\n  \"traps_complete\": %b" r.r_traps_complete);
-  Buffer.add_string buf ",\n  \"deadlock\": ";
-  (match r.r_verdict with
-  | Deadlock_free_skeleton -> str "free"
-  | May_deadlock _ -> str "possible"
-  | Unknown_budget -> str "unknown");
-  Buffer.add_string buf
-    (Printf.sprintf ",\n  \"independent_pairs\": %d,\n  \"rule_pairs\": %d\n}\n"
-       r.r_independent_pairs r.r_rule_pairs);
-  Buffer.contents buf
+  Json.Obj
+    [ ("places", strs (Array.to_list r.r_places));
+      ("rules", strs (Array.to_list r.r_rules));
+      ("incidence", list vec (Array.to_list r.r_matrix));
+      ("p_invariants", list vec r.r_p_invariants);
+      ("t_invariants", list vec r.r_t_invariants);
+      ("bounds", named_ints r.r_bounds);
+      ("potentially_unbounded", named_ints r.r_unbounded);
+      ( "certified_infinite",
+        list
+          (fun (rl, c, why) ->
+            Json.Obj
+              [ ("rule", Json.Str rl);
+                ("component", Json.Str c);
+                ("reason", Json.Str why) ])
+          r.r_certified );
+      ("growth", named_ints r.r_growth);
+      ("siphons", list strs r.r_siphons);
+      ("siphons_complete", Json.Bool r.r_siphons_complete);
+      ("traps", list strs r.r_traps);
+      ("traps_complete", Json.Bool r.r_traps_complete);
+      ( "deadlock",
+        Json.Str
+          (match r.r_verdict with
+          | Deadlock_free_skeleton -> "free"
+          | May_deadlock _ -> "possible"
+          | Unknown_budget -> "unknown") );
+      ("independent_pairs", Json.Int r.r_independent_pairs);
+      ("rule_pairs", Json.Int r.r_rule_pairs) ]

@@ -204,5 +204,5 @@ val analyse : ?budget:int -> net -> report
     [struct.invariants] and [struct.siphons] spans. *)
 
 val pp_report : report Fmt.t
-val report_to_json : report -> string
-(** Deterministic JSON object (fixed key order, trailing newline). *)
+val report_to_json : report -> Fsa_json.Json.t
+(** Deterministic JSON object (fixed key order). *)

@@ -7,6 +7,7 @@ module Apa = Fsa_apa.Apa
 module State = Fsa_apa.Apa.State
 module Structural = Fsa_struct.Structural
 module Metrics = Fsa_obs.Metrics
+module Json = Fsa_json.Json
 module Smap = Map.Make (String)
 module Sset = Set.Make (String)
 
@@ -997,71 +998,34 @@ let pp_report ppf r =
   Fmt.pf ppf "group order: %g@]" (group_order r)
 
 let report_to_json r =
-  let buf = Buffer.create 1024 in
-  let str s =
-    Buffer.add_char buf '"';
-    Metrics.json_escape buf s;
-    Buffer.add_char buf '"'
-  in
-  let str_list l =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_string buf ", ";
-        str s)
-      l;
-    Buffer.add_char buf ']'
-  in
-  Buffer.add_string buf "{\n  \"instances\": [";
-  List.iteri
-    (fun i (name, comps) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf "{\"name\": ";
-      str name;
-      Buffer.add_string buf ", \"components\": ";
-      str_list comps;
-      Buffer.add_char buf '}')
-    r.r_instances;
-  Buffer.add_string buf "],\n  \"orbits\": [";
-  List.iteri
-    (fun i o ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf "{\"blocks\": [";
-      List.iteri
-        (fun k b ->
-          if k > 0 then Buffer.add_string buf ", ";
-          str_list b.b_instances)
-        o.o_blocks;
-      Buffer.add_string buf "], \"components\": [";
-      List.iteri
-        (fun k b ->
-          if k > 0 then Buffer.add_string buf ", ";
-          str_list b.b_comps)
-        o.o_blocks;
-      Buffer.add_string buf
-        (Printf.sprintf "], \"reducible\": %b, \"why\": " o.o_reducible);
-      str o.o_why;
-      Buffer.add_char buf '}')
-    r.r_orbits;
-  Buffer.add_string buf "],\n  \"rejected\": [";
-  List.iteri
-    (fun i j ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf "{\"a\": ";
-      str j.j_a;
-      Buffer.add_string buf ", \"b\": ";
-      str j.j_b;
-      Buffer.add_string buf ", \"reason\": ";
-      str (reason_to_string j.j_reason);
-      Buffer.add_string buf ", \"detail\": ";
-      str j.j_detail;
-      Buffer.add_char buf '}')
-    r.r_rejected;
-  Buffer.add_string buf "],\n  \"attested_guards\": ";
-  str_list r.r_attested_guards;
-  Buffer.add_string buf
-    (Printf.sprintf ",\n  \"group_order\": %g\n}\n" (group_order r));
-  Buffer.contents buf
+  let strs l = Json.List (List.map (fun s -> Json.Str s) l) in
+  let list f l = Json.List (List.map f l) in
+  Json.Obj
+    [ ( "instances",
+        list
+          (fun (name, comps) ->
+            Json.Obj [ ("name", Json.Str name); ("components", strs comps) ])
+          r.r_instances );
+      ( "orbits",
+        list
+          (fun o ->
+            Json.Obj
+              [ ("blocks", list (fun b -> strs b.b_instances) o.o_blocks);
+                ("components", list (fun b -> strs b.b_comps) o.o_blocks);
+                ("reducible", Json.Bool o.o_reducible);
+                ("why", Json.Str o.o_why) ])
+          r.r_orbits );
+      ( "rejected",
+        list
+          (fun j ->
+            Json.Obj
+              [ ("a", Json.Str j.j_a);
+                ("b", Json.Str j.j_b);
+                ("reason", Json.Str (reason_to_string j.j_reason));
+                ("detail", Json.Str j.j_detail) ])
+          r.r_rejected );
+      ("attested_guards", strs r.r_attested_guards);
+      ("group_order", Json.Float (group_order r)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalisation                                                    *)

@@ -139,8 +139,8 @@ val group_order : report -> float
 
 val pp_report : report Fmt.t
 
-val report_to_json : report -> string
-(** Deterministic JSON object (fixed key order, trailing newline). *)
+val report_to_json : report -> Fsa_json.Json.t
+(** Deterministic JSON object (fixed key order). *)
 
 (** {1 State canonicalisation} *)
 

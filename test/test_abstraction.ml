@@ -17,7 +17,7 @@ module Parser = Fsa_spec.Parser
 module Elaborate = Fsa_spec.Elaborate
 module Server = Fsa_server.Server
 module Exec = Fsa_server.Server.Exec
-module Json = Fsa_store.Json
+module Json = Fsa_json.Json
 module Store = Fsa_store.Store
 module V = Fsa_vanet.Vehicle_apa
 

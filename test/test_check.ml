@@ -5,6 +5,7 @@ module Parser = Fsa_spec.Parser
 module Loc = Fsa_spec.Loc
 module Check = Fsa_check.Check
 module D = Fsa_check.Diagnostic
+module Json = Fsa_json.Json
 
 let parse s = Parser.parse_string s
 
@@ -286,11 +287,44 @@ let test_json_deterministic () =
     let render () =
       example_files dir
       |> List.concat_map (fun p -> Check.spec ~file:p (Parser.parse_file p))
-      |> D.render_json
+      |> D.to_json |> Json.to_string
     in
     let a = render () and b = render () in
     Alcotest.(check string) "byte-identical across runs" a b;
     Alcotest.(check bool) "non-trivial output" true (String.length a > 2)
+
+(* Every bundled spec's findings print as an array that parses back, one
+   object per sorted finding with code/severity/message, and the span
+   members exactly when the location is real. *)
+let test_json_shape () =
+  match spec_dir () with
+  | None -> ()
+  | Some dir ->
+    List.iter
+      (fun path ->
+        let ds = Check.spec ~file:path ~deep:true (Parser.parse_file path) in
+        match Json.parse (Json.to_string (D.to_json ds)) with
+        | Ok (Json.List elts) when List.length elts = List.length ds ->
+          List.iter2
+            (fun d j ->
+              let has k = Json.member k j <> None in
+              Alcotest.(check bool) (path ^ ": code") true
+                (Json.member "code" j = Some (Json.Str d.D.code));
+              Alcotest.(check bool) (path ^ ": severity and message") true
+                (has "severity" && has "message");
+              let located =
+                match d.D.loc with
+                | Some l -> not (Loc.is_dummy l)
+                | None -> false
+              in
+              List.iter
+                (fun k ->
+                  Alcotest.(check bool) (path ^ ": " ^ k) located (has k))
+                [ "line"; "col"; "endLine"; "endCol" ])
+            (D.sort ds) elts
+        | Ok _ -> Alcotest.failf "%s: not one array element per finding" path
+        | Error msg -> Alcotest.failf "%s: %s" path msg)
+      (example_files dir)
 
 let test_render_text_underline () =
   let ds =
@@ -419,6 +453,7 @@ let suite =
     Alcotest.test_case "did-you-mean suggestions" `Quick test_suggest;
     Alcotest.test_case "shipped examples are clean" `Quick test_examples_clean;
     Alcotest.test_case "JSON output deterministic" `Quick test_json_deterministic;
+    Alcotest.test_case "JSON output shape" `Quick test_json_shape;
     Alcotest.test_case "text renderer underlines" `Quick test_render_text_underline;
     Alcotest.test_case "code registry complete" `Quick test_registry_complete;
     Alcotest.test_case "check covers every lint finding" `Quick test_check_covers_lint;

@@ -123,18 +123,15 @@ let contains s sub =
 
 let test_json_export () =
   let reqs = Fsa_requirements.Derive.of_sos S.three_vehicles in
-  let json = Export.to_json ~classify:(Classify.classify S.three_vehicles) reqs in
+  let json =
+    Fsa_json.Json.to_string
+      (Export.to_json ~classify:(Classify.classify S.three_vehicles) reqs)
+  in
   Alcotest.(check bool) "array" true (json.[0] = '[');
   Alcotest.(check bool) "contains cause field" true (contains json "\"cause\"");
   Alcotest.(check bool) "contains classification" true
     (contains json "policy-induced");
   Alcotest.(check bool) "mentions the driver" true (contains json "D_w")
-
-let test_json_escaping () =
-  Alcotest.(check string) "quotes escaped" "a\\\"b\\\\c"
-    (Export.json_escape "a\"b\\c");
-  Alcotest.(check string) "newline escaped" "x\\ny" (Export.json_escape "x\ny");
-  Alcotest.(check string) "control chars" "\\u0001" (Export.json_escape "\x01")
 
 let test_csv_export () =
   let reqs = Fsa_requirements.Derive.of_sos S.two_vehicles in
@@ -162,6 +159,5 @@ let suite =
     Alcotest.test_case "reflexive requirement" `Quick test_cause_on_same_event;
     Alcotest.test_case "report rendering" `Quick test_report_renders;
     Alcotest.test_case "json export" `Quick test_json_export;
-    Alcotest.test_case "json escaping" `Quick test_json_escaping;
     Alcotest.test_case "csv export" `Quick test_csv_export;
     Alcotest.test_case "markdown export" `Quick test_markdown_export ]

@@ -1,20 +1,18 @@
-(* Tests for spec check declarations, the Markdown report generator and
-   the Fsa_report requirements-report subsystem (stable SR-* ids,
-   golden cross-configuration bodies, coverage identities). *)
+(* Tests for spec check declarations and the Fsa_report
+   requirements-report subsystem (stable SR-* ids, golden
+   cross-configuration bodies, coverage identities). *)
 
 module Parser = Fsa_spec.Parser
 module Elaborate = Fsa_spec.Elaborate
 module Ast = Fsa_spec.Ast
 module Pattern = Fsa_mc.Pattern
 module Lts = Fsa_lts.Lts
-module Report = Fsa_core.Report
 module R = Fsa_report.Report
 module Analysis = Fsa_core.Analysis
 module Sym = Fsa_sym.Sym
 module Apa = Fsa_apa.Apa
 module Classify = Fsa_requirements.Classify
 module S = Fsa_vanet.Scenario
-module Evita = Fsa_vanet.Evita
 
 let contains s sub =
   let rec go i =
@@ -154,46 +152,6 @@ let test_pretty_preserves_behaviour () =
   let reparsed = Parser.parse_string (Fsa_spec.Pretty.to_string spec) in
   let states ast = Lts.nb_states (Lts.explore (Elaborate.apa_of_spec ast)) in
   Alcotest.(check int) "same state space" (states spec) (states reparsed)
-
-(* ------------------------------------------------------------------ *)
-(* Report generation                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_report_two_vehicles () =
-  let md = Report.markdown S.three_vehicles in
-  Alcotest.(check bool) "title" true
-    (contains md "# Functional security analysis: three_vehicles");
-  Alcotest.(check bool) "inputs section" true (contains md "System inputs");
-  Alcotest.(check bool) "requirements table" true (contains md "| # | Cause |");
-  Alcotest.(check bool) "policy note" true
-    (contains md "position-based-forwarding");
-  Alcotest.(check bool) "availability count" true
-    (contains md "1 requirement(s) exist only because");
-  Alcotest.(check bool) "confidentiality table" true
-    (contains md "Inferred level");
-  Alcotest.(check bool) "refinement table" true (contains md "Min. cut");
-  Alcotest.(check bool) "prioritised work list" true
-    (contains md "Prioritised work list")
-
-let test_report_options () =
-  let options =
-    { Report.default_options with
-      Report.with_confidentiality = false;
-      with_refinement = false }
-  in
-  let md = Report.markdown ~options S.two_vehicles in
-  Alcotest.(check bool) "no confidentiality section" false
-    (contains md "Inferred level");
-  Alcotest.(check bool) "no refinement section" false (contains md "Min. cut");
-  Alcotest.(check bool) "requirements still present" true
-    (contains md "| # | Cause |")
-
-let test_report_evita () =
-  let options = { Report.default_options with Report.stakeholder = Evita.stakeholder } in
-  let md = Report.markdown ~options Evita.model in
-  Alcotest.(check bool) "mentions all 29" true
-    (contains md "Authenticity requirements (29)");
-  Alcotest.(check bool) "driver stakeholder used" true (contains md "Driver")
 
 (* ------------------------------------------------------------------ *)
 (* Fsa_report: requirement reports                                     *)
@@ -416,9 +374,6 @@ let suite =
     Alcotest.test_case "pretty round trip (inline)" `Quick test_pretty_roundtrip_inline;
     Alcotest.test_case "pretty round trip (files)" `Quick test_pretty_roundtrip_files;
     Alcotest.test_case "pretty preserves behaviour" `Quick test_pretty_preserves_behaviour;
-    Alcotest.test_case "report content" `Quick test_report_two_vehicles;
-    Alcotest.test_case "report options" `Quick test_report_options;
-    Alcotest.test_case "report on EVITA" `Quick test_report_evita;
     Alcotest.test_case "pp_class unattributed" `Quick
       test_pp_class_unattributed;
     Alcotest.test_case "golden bodies across configs" `Quick

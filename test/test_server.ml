@@ -4,7 +4,7 @@
 
 module Server = Fsa_server.Server
 module Exec = Fsa_server.Server.Exec
-module Json = Fsa_store.Json
+module Json = Fsa_json.Json
 module Store = Fsa_store.Store
 module Parser = Fsa_spec.Parser
 
@@ -739,6 +739,29 @@ let test_examples_never_internal () =
           Alcotest.(check string) (Exec.op_to_string op ^ ": message") message m)
       [ Exec.Reach; Exec.Requirements ]
 
+(* The check op answers the diagnostics document itself. *)
+let test_check_op_result () =
+  match Test_check.spec_dir () with
+  | None -> ()
+  | Some dir ->
+    let cfg = Server.config () in
+    List.iter
+      (fun path ->
+        let r =
+          parse_response
+            (Server.handle_line cfg
+               (request
+                  [ ("id", Json.Int 1); ("op", Json.Str "check");
+                    ("spec", Json.Str path) ]))
+        in
+        let expected =
+          Fsa_check.Diagnostic.to_json
+            (Fsa_check.Check.spec ~file:path (Parser.parse_file path))
+        in
+        Alcotest.(check bool) (path ^ ": result = Diagnostic.to_json") true
+          (Option.equal Json.equal (Json.member "result" r) (Some expected)))
+      (Test_check.example_files dir)
+
 let mistyped_members =
   [ ("max_states", "reach", Json.Str "3");
     ("timeout_ms", "reach", Json.Str "1");
@@ -762,6 +785,7 @@ let suite =
       test_key_params_complete;
     Alcotest.test_case "example specs never internal" `Quick
       test_examples_never_internal;
+    Alcotest.test_case "check op result" `Quick test_check_op_result;
     Alcotest.test_case "too large carries growth hint" `Quick
       test_too_large_hint;
     Alcotest.test_case "exec caches verify failures" `Quick

@@ -2,7 +2,7 @@
    the content-addressed on-disk cache (round-trip, corruption fallback,
    version fencing, LRU eviction). *)
 
-module Json = Fsa_store.Json
+module Json = Fsa_json.Json
 module Store = Fsa_store.Store
 module Elaborate = Fsa_spec.Elaborate
 module Parser = Fsa_spec.Parser
@@ -189,6 +189,12 @@ let test_json_parse_forms () =
   | Ok _ -> Alcotest.fail "garbage must be rejected"
   | Error _ -> ()
 
+let test_json_escaping () =
+  let str s = Json.to_string (Json.Str s) in
+  Alcotest.(check string) "quotes escaped" {|"a\"b\\c"|} (str "a\"b\\c");
+  Alcotest.(check string) "newline escaped" {|"x\ny"|} (str "x\ny");
+  Alcotest.(check string) "control chars" {|"\u0001"|} (str "\x01")
+
 (* ------------------------------------------------------------------ *)
 (* Canonical digests                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -350,6 +356,7 @@ let test_lru_bump_on_find () =
 let suite =
   [ Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parse forms" `Quick test_json_parse_forms;
+    Alcotest.test_case "json escaping" `Quick test_json_escaping;
     Alcotest.test_case "digest stable across reparse" `Quick
       test_digest_stable_across_reparse;
     Alcotest.test_case "digest ignores declaration order" `Quick

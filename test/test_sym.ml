@@ -84,7 +84,8 @@ let test_platoon_orbit () =
 
 let test_report_json_deterministic () =
   let render () =
-    Sym.report_to_json (Sym.detect ~guard_sig (V.pairs ~uniform:true 2))
+    Fsa_json.Json.to_string
+      (Sym.report_to_json (Sym.detect ~guard_sig (V.pairs ~uniform:true 2)))
   in
   Alcotest.(check string) "byte-identical" (render ()) (render ())
 
