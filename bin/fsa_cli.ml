@@ -70,27 +70,14 @@ let load_spec path =
   | Error (`Parse (loc, msg)) -> die_loc ~file:path loc msg
   | Error (`Sys msg) -> or_die (Error msg)
 
-(* Every file output is atomic, matching the store's temp+rename
-   convention: a crash mid-write never leaves a truncated file at the
-   target path, and a concurrent reader sees either the old content or
-   the new, never a prefix.  The "wrote" note goes to stderr, so stdout
-   carries only the command's own output. *)
+(* Every file output is atomic ({!Fsa_store.Store.write_atomic}): a
+   crash mid-write never leaves a truncated file at the target path.
+   The "wrote" note goes to stderr, so stdout carries only the
+   command's own output. *)
 let write_atomic ~path content =
-  let tmp =
-    Filename.concat
-      (Filename.dirname path)
-      (Printf.sprintf ".%s.tmp.%d" (Filename.basename path) (Unix.getpid ()))
-  in
-  try
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc content);
-    Sys.rename tmp path;
-    Fmt.epr "wrote %s@." path
-  with Sys_error msg ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    or_die (Error msg)
+  match Fsa_store.Store.write_atomic ~path content with
+  | () -> Fmt.epr "wrote %s@." path
+  | exception Sys_error msg -> or_die (Error msg)
 
 let write_out ~out content =
   match out with None -> print_string content | Some path -> write_atomic ~path content

@@ -600,6 +600,49 @@ module Make (L : LABEL) = struct
 
     let difference t1 t2 = product ~combine:(fun a b -> a && not b) t1 t2
 
+    (* Asynchronous (shuffle) product over disjoint alphabets: a letter
+       moves the one factor whose alphabet holds it, the other stays.
+       States are the reachable pairs, numbered in BFS order; a pair
+       accepts iff both factors do.  Over prefix-closed languages with
+       every state final, the product of two minimal automata is
+       minimal: two pairs differing in one factor are told apart by
+       that factor's distinguishing word, which the other factor
+       ignores. *)
+    let shuffle t1 t2 =
+      if not (Lset.disjoint (alphabet t1) (alphabet t2)) then
+        invalid_arg "Dfa.shuffle: alphabets overlap";
+      let index = Hashtbl.create 64 in
+      let nb = ref 0 in
+      let delta_acc = ref [] in
+      let finals = ref Int_set.empty in
+      let queue = Queue.create () in
+      let intern key =
+        match Hashtbl.find_opt index key with
+        | Some id -> id
+        | None ->
+          let id = !nb in
+          incr nb;
+          Hashtbl.add index key id;
+          Queue.add (key, id) queue;
+          id
+      in
+      ignore (intern (t1.start, t2.start));
+      while not (Queue.is_empty queue) do
+        let (s1, s2), id = Queue.pop queue in
+        if is_final t1 s1 && is_final t2 s2 then
+          finals := Int_set.add id !finals;
+        let trans =
+          Lmap.fold
+            (fun l d2 acc -> Lmap.add l (intern (s1, d2)) acc)
+            t2.delta.(s2)
+            (Lmap.map (fun d1 -> intern (d1, s2)) t1.delta.(s1))
+        in
+        delta_acc := (id, trans) :: !delta_acc
+      done;
+      let delta = Array.make !nb Lmap.empty in
+      List.iter (fun (id, m) -> delta.(id) <- m) !delta_acc;
+      create ~nb_states:!nb ~start:0 ~finals:!finals ~delta
+
     let language_subset t1 t2 = is_empty (difference t1 t2)
 
     let language_equal t1 t2 = language_subset t1 t2 && language_subset t2 t1

@@ -80,6 +80,13 @@ module Make (L : LABEL) : sig
     val intersection : t -> t -> t
     val union : t -> t -> t
     val difference : t -> t -> t
+
+    val shuffle : t -> t -> t
+    (** Asynchronous product of two automata over disjoint alphabets: it
+        accepts the interleavings of one word of each.  States are the
+        reachable pairs; a pair accepts iff both components do.
+        @raise Invalid_argument if the alphabets overlap. *)
+
     val language_subset : t -> t -> bool
     val language_equal : t -> t -> bool
     val words : max_len:int -> t -> L.t list list

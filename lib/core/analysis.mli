@@ -96,7 +96,10 @@ type reduction_info = {
 
 type tool_report = {
   t_lts : Lts.t;
-  t_stats : Lts.stats;
+      (** the analysed graph.  Unreduced and split into several modules,
+          it is the product graph explored on first use
+          ({!Lts.explore_lazy}): the analysis itself never needs it. *)
+  t_stats : Lts.stats;  (** the product's, composed from the modules' *)
   t_minima : Action.t list;
   t_maxima : Action.t list;
   t_matrix : (Action.t * (Action.t * bool) list) list;
@@ -185,6 +188,16 @@ val tool :
     [progress] is threaded through the state-space exploration, which is
     always the sequential {!Lts.explore}.
 
+    Unreduced, the rules are split into modules — the connected
+    components of "shares a state component" over
+    {!Fsa_apa.Apa.neighbourhood}, for an APA with the default rule-name
+    labelling — and each module's sub-APA is explored on its own.  The
+    reachability graph is the product of the module graphs, so minima,
+    maxima and statistics compose exactly, a pair across two modules is
+    independent and a pair inside one gets that module's verdict
+    (DESIGN.md §14).  [max_states] bounds the product of the module
+    sizes.  An APA of one module is explored whole, as before.
+
     [meth] (default [Abstract]) picks the dependence test.  [Abstract]
     answers all surviving (min, max) pairs from one shared abstraction
     ({!Fsa_hom.Hom.Shared}): erase once to the union alphabet of their
@@ -194,8 +207,10 @@ val tool :
     witnessed).  Verdicts and per-pair minimal automata equal the
     per-pair oracle {!dependence} — [preserve {min, max}] factors
     through [preserve union] and minimal DFAs are unique up to
-    isomorphism.  [quotient_cache] lets the caller persist/reuse the
-    shared quotient across runs (see {!quotient_cache}); a cache hit
+    isomorphism.  Each module gets its own engine; several are
+    {!Fsa_hom.Hom.Shared.compose}d into [t_engine].  [quotient_cache]
+    lets the caller persist/reuse the shared quotient of a one-module
+    run across runs (see {!quotient_cache}); a cache hit
     skips the erase/determinise/minimise and early-decision work
     entirely.  [Direct] runs {!Lts.depends_on} per pair.
 

@@ -252,7 +252,8 @@ module Shared = struct
     px_final : bool array;
   }
 
-  type engine = {
+  (* The engine of one behaviour graph. *)
+  type part = {
     sh_alphabet : Action.Set.t;
     sh_dfa : A.Dfa.t;
     sh_cached : bool;
@@ -260,6 +261,21 @@ module Shared = struct
     sh_early : Pair_set.t;
     mutable sh_proj : proj_index option;
   }
+
+  (* One part per module graph of an asynchronous product (see
+     {!compose}); a built engine has one.  [e_cross] counts the pairs
+     whose endpoints lie in different parts — independent without a
+     look at any automaton — and [e_dfa] is the shuffle product of the
+     parts' quotients, built only when asked for. *)
+  type engine = {
+    e_parts : part list;
+    e_alphabet : Action.Set.t;
+    e_cross : int;
+    mutable e_dfa : A.Dfa.t option;
+  }
+
+  let of_part p =
+    { e_parts = [ p ]; e_alphabet = p.sh_alphabet; e_cross = 0; e_dfa = Some p.sh_dfa }
 
   let zero_timing =
     { sb_erase_ns = 0L;
@@ -364,12 +380,13 @@ module Shared = struct
     Metrics.incr m_shared_builds;
     match dfa with
     | Some d ->
-      { sh_alphabet = alphabet;
-        sh_dfa = d;
-        sh_cached = true;
-        sh_timing = zero_timing;
-        sh_early = Pair_set.empty;
-        sh_proj = None }
+      of_part
+        { sh_alphabet = alphabet;
+          sh_dfa = d;
+          sh_cached = true;
+          sh_timing = zero_timing;
+          sh_early = Pair_set.empty;
+          sh_proj = None }
     | None ->
       Span.with_ ~cat:"hom" "hom.shared_build" @@ fun () ->
       let h = preserve (Action.Set.elements alphabet) in
@@ -391,50 +408,109 @@ module Shared = struct
             (Action.Set.cardinal alphabet)
             (A.Dfa.nb_states d) (A.Dfa.nb_transitions d)
             (Pair_set.cardinal early));
-      { sh_alphabet = alphabet;
-        sh_dfa = d;
-        sh_cached = false;
-        sh_timing =
-          { sb_erase_ns = Int64.sub t1 t0;
-            sb_determinise_ns = Int64.sub t2 t1;
-            sb_minimise_ns = Int64.sub t3 t2;
-            sb_early_ns = Int64.sub t4 t3 };
-        sh_early = early;
-        sh_proj = None }
+      of_part
+        { sh_alphabet = alphabet;
+          sh_dfa = d;
+          sh_cached = false;
+          sh_timing =
+            { sb_erase_ns = Int64.sub t1 t0;
+              sb_determinise_ns = Int64.sub t2 t1;
+              sb_minimise_ns = Int64.sub t3 t2;
+              sb_early_ns = Int64.sub t4 t3 };
+          sh_early = early;
+          sh_proj = None }
 
-  let alphabet e = e.sh_alphabet
-  let dfa e = e.sh_dfa
-  let cached e = e.sh_cached
-  let timing e = e.sh_timing
-  let early_count e = Pair_set.cardinal e.sh_early
+  (* The part whose alphabet holds [a]; parts' alphabets are disjoint. *)
+  let part_of e a =
+    List.find_opt (fun p -> Action.Set.mem a p.sh_alphabet) e.e_parts
 
-  let check_pair e ~min_action ~max_action =
-    if
-      not
-        (Action.Set.mem min_action e.sh_alphabet
-        && Action.Set.mem max_action e.sh_alphabet)
-    then
+  let compose ~minima ~maxima engines =
+    if engines = [] then invalid_arg "Hom.Shared.compose: no engine";
+    let parts = List.concat_map (fun e -> e.e_parts) engines in
+    let alphabet =
+      List.fold_left
+        (fun acc p ->
+          if not (Action.Set.disjoint acc p.sh_alphabet) then
+            invalid_arg "Hom.Shared.compose: overlapping alphabets";
+          Action.Set.union acc p.sh_alphabet)
+        Action.Set.empty parts
+    in
+    let e = { e_parts = parts; e_alphabet = alphabet; e_cross = 0; e_dfa = None } in
+    let cross =
+      List.fold_left
+        (fun acc mn ->
+          List.fold_left
+            (fun acc mx ->
+              match (part_of e mn, part_of e mx) with
+              | Some p, Some q when p != q -> acc + 1
+              | _ -> acc)
+            acc maxima)
+        0 minima
+    in
+    { e with e_cross = cross }
+
+  let alphabet e = e.e_alphabet
+
+  let dfa e =
+    match e.e_dfa with
+    | Some d -> d
+    | None ->
+      let d =
+        match e.e_parts with
+        | p :: ps ->
+          List.fold_left (fun d q -> A.Dfa.shuffle d q.sh_dfa) p.sh_dfa ps
+        | [] -> assert false (* [compose] refuses no engines *)
+      in
+      e.e_dfa <- Some d;
+      d
+
+  let dfa_states e =
+    List.fold_left (fun n p -> n * A.Dfa.nb_states p.sh_dfa) 1 e.e_parts
+
+  let cached e = List.for_all (fun p -> p.sh_cached) e.e_parts
+
+  let timing e =
+    List.fold_left
+      (fun t p ->
+        let q = p.sh_timing in
+        { sb_erase_ns = Int64.add t.sb_erase_ns q.sb_erase_ns;
+          sb_determinise_ns = Int64.add t.sb_determinise_ns q.sb_determinise_ns;
+          sb_minimise_ns = Int64.add t.sb_minimise_ns q.sb_minimise_ns;
+          sb_early_ns = Int64.add t.sb_early_ns q.sb_early_ns })
+      zero_timing e.e_parts
+
+  let early_count e =
+    List.fold_left (fun n p -> n + Pair_set.cardinal p.sh_early) e.e_cross e.e_parts
+
+  (* The parts holding the pair's endpoints. *)
+  let parts_of_pair e ~min_action ~max_action =
+    match (part_of e min_action, part_of e max_action) with
+    | Some p, Some q -> (p, q)
+    | _ ->
       invalid_arg
         (Fmt.str "Hom.Shared: pair (%a, %a) outside the shared alphabet"
            Action.pp min_action Action.pp max_action)
 
+  (* A pair across two parts is independent: [max] occurs in its own
+     module's runs while [min]'s module stays put. *)
   let depends e ~min_action ~max_action =
-    check_pair e ~min_action ~max_action;
+    let p, q = parts_of_pair e ~min_action ~max_action in
     Metrics.incr m_dependence_tests;
-    (not (Pair_set.mem (min_action, max_action) e.sh_early))
+    p == q
+    && (not (Pair_set.mem (min_action, max_action) p.sh_early))
     && not
-         (dfa_has_target_before_avoid e.sh_dfa ~avoid:min_action
+         (dfa_has_target_before_avoid p.sh_dfa ~avoid:min_action
             ~target:max_action)
 
   (* The pair's minimal automaton, projected from the shared quotient
      instead of recomputed from the behaviour — isomorphic to
      [minimal_automaton (preserve [min; max]) lts] by h_p = h_p . h_U
      and uniqueness of the minimal DFA. *)
-  let proj_index e =
-    match e.sh_proj with
+  let proj_index p =
+    match p.sh_proj with
     | Some px -> px
     | None ->
-      let d = e.sh_dfa in
+      let d = p.sh_dfa in
       let module IS = Fsa_automata.Automata.Int_set in
       let ids = ref Action.Map.empty in
       let nb = ref 0 in
@@ -457,7 +533,7 @@ module Shared = struct
       let final = Array.make (A.Dfa.nb_states d) false in
       IS.iter (fun s -> final.(s) <- true) (A.Dfa.finals d);
       let px = { px_ids = !ids; px_succ = succ; px_final = final } in
-      e.sh_proj <- Some px;
+      p.sh_proj <- Some px;
       px
 
   (* The pair projection of the shared quotient, before minimisation:
@@ -467,8 +543,8 @@ module Shared = struct
      A pair letter absent from the quotient's transitions gets id [-1],
      which matches no edge: exactly the semantics of an unexercised
      letter. *)
-  let project_pair e ~min_action ~max_action =
-    let px = proj_index e in
+  let project_pair p ~min_action ~max_action =
+    let px = proj_index p in
     let module IS = Fsa_automata.Automata.Int_set in
     let lid a =
       match Action.Map.find_opt a px.px_ids with Some i -> i | None -> -1
@@ -512,7 +588,7 @@ module Shared = struct
         Queue.add (id, members) queue;
         id
     in
-    let start = intern (closure [ A.Dfa.start e.sh_dfa ]) in
+    let start = intern (closure [ A.Dfa.start p.sh_dfa ]) in
     let delta_acc = ref [] in
     while not (Queue.is_empty queue) do
       let id, members = Queue.pop queue in
@@ -537,10 +613,15 @@ module Shared = struct
     List.iter (fun (id, m) -> delta.(id) <- m) !delta_acc;
     A.Dfa.create ~nb_states:!nb ~start ~finals:!finals_acc ~delta
 
+  (* A pair across two parts: the image of the product is the shuffle
+     of each part's image on its one letter. *)
   let minimal_automaton e ~min_action ~max_action =
-    check_pair e ~min_action ~max_action;
+    let p, q = parts_of_pair e ~min_action ~max_action in
     Metrics.incr m_minimal_automata;
-    A.Dfa.minimize (project_pair e ~min_action ~max_action)
+    if p == q then A.Dfa.minimize (project_pair p ~min_action ~max_action)
+    else
+      let letter part a = A.Dfa.minimize (A.project (preserve [ a ]) part.sh_dfa) in
+      A.Dfa.minimize (A.Dfa.shuffle (letter p min_action) (letter q max_action))
 end
 
 (* ------------------------------------------------------------------ *)

@@ -103,15 +103,40 @@ module Shared : sig
       behaviour graph is then not walked at all (and no pair is decided
       early — all verdicts come off the shared DFA, identically). *)
 
+  val compose :
+    minima:Action.t list -> maxima:Action.t list -> engine list -> engine
+  (** The engine of an asynchronous product, from engines built on its
+      factors' graphs over disjoint alphabets (the modules of
+      [Fsa_core.Analysis]).  It answers what an engine built on the
+      product graph over the union alphabet answers: a pair inside one
+      factor gets that factor's verdict and minimal automaton (the
+      product's image on the pair equals the factor's), a pair across
+      two factors is independent.  [minima] and [maxima] are the pair
+      endpoints the engines were built for; {!early_count} counts their
+      cross-factor pairs.
+      @raise Invalid_argument on no engine or overlapping alphabets. *)
+
   val alphabet : engine -> Action.Set.t
+
   val dfa : engine -> A.Dfa.t
-  (** The shared minimal DFA — the cacheable intermediate quotient. *)
+  (** The shared minimal DFA.  For a {!compose}d engine it is the
+      shuffle product of the factors' DFAs — isomorphic to the product
+      graph's — built on the first call. *)
+
+  val dfa_states : engine -> int
+  (** [A.Dfa.nb_states (dfa e)], without building a composite's
+      product. *)
 
   val cached : engine -> bool
+  (** Every factor's quotient came from the cache. *)
+
   val timing : engine -> build_timing
+  (** Summed over the factors. *)
 
   val early_count : engine -> int
-  (** Number of pairs the single pass already proved independent. *)
+  (** Number of pairs decided independent without reading a quotient:
+      those the single pass proved independent, plus a composite's
+      cross-factor pairs. *)
 
   val depends : engine -> min_action:Action.t -> max_action:Action.t -> bool
   (** Per-pair verdict off the shared engine, identical to

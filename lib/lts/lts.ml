@@ -13,13 +13,25 @@ module State = Fsa_apa.Apa.State
 
 type transition = { t_src : int; t_label : Action.t; t_dst : int }
 
-type t = {
+type graph = {
   apa_name : string;
   states : State.t array;
   initial : int;  (* always 0 *)
   succs : transition list array;  (* outgoing transitions, by source *)
   preds : transition list array;  (* incoming transitions, by target *)
 }
+
+(* A graph, or the promise of one: {!explore_lazy} defers the
+   exploration to the first accessor that needs the graph.  The lock
+   makes that first force safe when two domains reach it at once. *)
+type t = { lz_name : string; lz_graph : graph Lazy.t; lz_lock : Mutex.t }
+
+let of_value g =
+  { lz_name = g.apa_name; lz_graph = Lazy.from_val g; lz_lock = Mutex.create () }
+
+let graph t =
+  if Lazy.is_val t.lz_graph then Lazy.force t.lz_graph
+  else Mutex.protect t.lz_lock (fun () -> Lazy.force t.lz_graph)
 
 exception State_space_too_large of int
 
@@ -117,7 +129,7 @@ let assemble ~apa_name ~states ~iter_edges =
       preds.(tr.t_dst) <- tr :: preds.(tr.t_dst));
   Array.iteri (fun i l -> succs.(i) <- List.sort order_transition l) succs;
   Array.iteri (fun i l -> preds.(i) <- List.sort order_transition l) preds;
-  { apa_name; states; initial = 0; succs; preds }
+  of_value { apa_name; states; initial = 0; succs; preds }
 
 let explore ?(max_states = 1_000_000) ?(reduce = no_reduction) ?progress apa =
   Span.with_ ~cat:"lts" "lts.explore" @@ fun () ->
@@ -440,22 +452,33 @@ let explore_par ?(max_states = 1_000_000) ?(reduce = no_reduction) ?progress
     assemble ~apa_name:(Fsa_apa.Apa.name apa) ~states ~iter_edges
   end
 
-let name t = t.apa_name
-let nb_states t = Array.length t.states
-let nb_transitions t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.succs
-let initial t = t.initial
-let state t i = t.states.(i)
-let succ t i = t.succs.(i)
-let pred t i = t.preds.(i)
+(* The modular analysis hands this out as the product graph, which
+   most of its consumers never ask for. *)
+let explore_lazy ?max_states ?progress apa =
+  { lz_name = Fsa_apa.Apa.name apa;
+    lz_graph = lazy (graph (explore ?max_states ?progress apa));
+    lz_lock = Mutex.create () }
 
-let transitions t = Array.to_list t.succs |> List.concat
+let is_explored t = Lazy.is_val t.lz_graph
+let name t = t.lz_name
+let nb_states t = Array.length (graph t).states
 
-let iter_transitions f t = Array.iter (fun l -> List.iter f l) t.succs
+let nb_transitions t =
+  Array.fold_left (fun acc l -> acc + List.length l) 0 (graph t).succs
+
+let initial t = (graph t).initial
+let state t i = (graph t).states.(i)
+let succ t i = (graph t).succs.(i)
+let pred t i = (graph t).preds.(i)
+
+let transitions t = Array.to_list (graph t).succs |> List.concat
+
+let iter_transitions f t = Array.iter (fun l -> List.iter f l) (graph t).succs
 
 let fold_transitions f t acc =
   Array.fold_left
     (fun acc l -> List.fold_left (fun acc tr -> f tr acc) acc l)
-    acc t.succs
+    acc (graph t).succs
 
 (* Synthetic / imported graphs: states carry no APA content.  Intended
    for tests and for ingesting externally computed reachability graphs;
@@ -493,8 +516,9 @@ let of_graph ?(name = "imported") ~states edges =
 let state_name i = Printf.sprintf "M-%d" (i + 1)
 
 let fold_states f t acc =
+  let g = graph t in
   let acc = ref acc in
-  Array.iteri (fun i _ -> acc := f i !acc) t.states;
+  Array.iteri (fun i _ -> acc := f i !acc) g.states;
   !acc
 
 let alphabet t =
@@ -504,7 +528,8 @@ let alphabet t =
 
 (* Dead states: no outgoing transition ("+++ dead +++" in the tool). *)
 let deadlocks t =
-  fold_states (fun i acc -> if t.succs.(i) = [] then i :: acc else acc) t []
+  let g = graph t in
+  fold_states (fun i acc -> if g.succs.(i) = [] then i :: acc else acc) t []
   |> List.rev
 
 (* Minima of the partial order of functionally dependent actions: every
@@ -512,28 +537,31 @@ let deadlocks t =
    does not depend on any other action having occurred before
    (Sect. 5.4). *)
 let minima t =
+  let g = graph t in
   List.fold_left
     (fun acc tr -> Action.Set.add tr.t_label acc)
-    Action.Set.empty t.succs.(t.initial)
+    Action.Set.empty g.succs.(g.initial)
 
 (* Maxima: the actions leading into a dead state from any trace — they do
    not trigger any further action after they have been performed. *)
 let maxima t =
+  let g = graph t in
   List.fold_left
     (fun acc dead ->
       List.fold_left
         (fun acc tr -> Action.Set.add tr.t_label acc)
-        acc t.preds.(dead))
+        acc g.preds.(dead))
     Action.Set.empty (deadlocks t)
 
 (* Shortest trace (sequence of labels) from the initial state to state [i]. *)
 let trace_to t i =
+  let g = graph t in
   let n = nb_states t in
   let prev = Array.make n None in
   let visited = Array.make n false in
   let queue = Queue.create () in
-  visited.(t.initial) <- true;
-  Queue.add t.initial queue;
+  visited.(g.initial) <- true;
+  Queue.add g.initial queue;
   (try
      while not (Queue.is_empty queue) do
        let s = Queue.pop queue in
@@ -545,13 +573,13 @@ let trace_to t i =
              prev.(tr.t_dst) <- Some tr;
              Queue.add tr.t_dst queue
            end)
-         t.succs.(s)
+         g.succs.(s)
      done
    with Exit -> ());
   if not visited.(i) then None
   else begin
     let rec build acc s =
-      if s = t.initial then acc
+      if s = g.initial then acc
       else
         match prev.(s) with
         | None -> acc
@@ -563,26 +591,28 @@ let trace_to t i =
 (* All words of the (prefix-closed) action language up to length [n] —
    exponential, for tests and small examples only. *)
 let words ~max_len t =
+  let g = graph t in
   let rec go acc word len s =
     let acc = List.rev word :: acc in
     if len = max_len then acc
     else
       List.fold_left
         (fun acc tr -> go acc (tr.t_label :: word) (len + 1) tr.t_dst)
-        acc t.succs.(s)
+        acc g.succs.(s)
   in
-  List.sort_uniq (List.compare Action.compare) (go [] [] 0 t.initial)
+  List.sort_uniq (List.compare Action.compare) (go [] [] 0 g.initial)
 
 (* Does some occurrence of a [target]-labelled transition happen on a path
    from the initial state that contains no prior [before]-labelled
    transition?  Used for the direct (non-abstracted) functional dependence
    test: [target] depends on [before] iff no such path exists. *)
 let reachable_without t ~avoid ~target =
+  let g = graph t in
   let n = nb_states t in
   let visited = Array.make n false in
   let queue = Queue.create () in
-  visited.(t.initial) <- true;
-  Queue.add t.initial queue;
+  visited.(g.initial) <- true;
+  Queue.add g.initial queue;
   let found = ref false in
   while not (Queue.is_empty queue || !found) do
     let s = Queue.pop queue in
@@ -593,7 +623,7 @@ let reachable_without t ~avoid ~target =
           visited.(tr.t_dst) <- true;
           Queue.add tr.t_dst queue
         end)
-      t.succs.(s)
+      g.succs.(s)
   done;
   !found
 
@@ -611,6 +641,7 @@ let depends_on t ~max_action ~min_action =
    Iterative with an explicit stack: the natural recursion is one frame
    per path edge and overflows the OCaml stack on long-chain graphs. *)
 let count_complete_runs t =
+  let g = graph t in
   let n = nb_states t in
   let colour = Array.make n 0 in (* 0 unvisited, 1 on stack, 2 done *)
   let memo = Array.make n (-1) in
@@ -621,16 +652,16 @@ let count_complete_runs t =
   in
   let enter s =
     colour.(s) <- 1;
-    Stack.push (s, ref t.succs.(s), ref 0) stack
+    Stack.push (s, ref g.succs.(s), ref 0) stack
   in
   try
-    enter t.initial;
+    enter g.initial;
     while not (Stack.is_empty stack) do
       let s, rest, acc = Stack.top stack in
       match !rest with
       | [] ->
         ignore (Stack.pop stack);
-        let total = if t.succs.(s) = [] then 1 else !acc in
+        let total = if g.succs.(s) = [] then 1 else !acc in
         colour.(s) <- 2;
         memo.(s) <- total;
         (match Stack.top_opt stack with
@@ -643,7 +674,7 @@ let count_complete_runs t =
         else if colour.(d) = 1 then raise Cyclic
         else enter d
     done;
-    Some memo.(t.initial)
+    Some memo.(g.initial)
   with Cyclic -> None
 
 (* Classify dead states into complete runs and stuck (incomplete) ones by
@@ -653,8 +684,9 @@ let count_complete_runs t =
 type deadlock_report = { dr_complete : int list; dr_stuck : int list }
 
 let classify_deadlocks t ~complete =
+  let g = graph t in
   let complete_l, stuck =
-    List.partition (fun s -> complete t.states.(s)) (deadlocks t)
+    List.partition (fun s -> complete g.states.(s)) (deadlocks t)
   in
   { dr_complete = complete_l; dr_stuck = stuck }
 
@@ -676,17 +708,18 @@ let pp_stats ppf s =
     s.nb_states s.nb_transitions s.nb_deadlocks s.nb_labels
 
 let dot ?(name = "reachability") t =
+  let g = graph t in
   let d = Fsa_graph.Dot.create ~graph_attrs:[ ("rankdir", "TB") ] name in
   let dead = deadlocks t in
   Array.iteri
     (fun i _ ->
       let attrs =
-        if i = t.initial then [ ("shape", "box"); ("style", "bold") ]
+        if i = g.initial then [ ("shape", "box"); ("style", "bold") ]
         else if List.mem i dead then [ ("shape", "doublecircle") ]
         else []
       in
       Fsa_graph.Dot.node ~attrs d (state_name i))
-    t.states;
+    g.states;
   iter_transitions
     (fun tr ->
       Fsa_graph.Dot.edge
@@ -699,12 +732,13 @@ let dot ?(name = "reachability") t =
    state reached from M-1 by that action; maxima with the state from which
    the dead state is entered. *)
 let pp_min_max ppf t =
+  let g = graph t in
   let minima_entries =
-    List.map (fun tr -> (tr.t_label, tr.t_dst)) t.succs.(t.initial)
+    List.map (fun tr -> (tr.t_label, tr.t_dst)) g.succs.(g.initial)
   in
   let maxima_entries =
     List.concat_map
-      (fun dead -> List.map (fun tr -> (tr.t_label, tr.t_src)) t.preds.(dead))
+      (fun dead -> List.map (fun tr -> (tr.t_label, tr.t_src)) g.preds.(dead))
       (deadlocks t)
   in
   let pp_entry ppf (a, s) =

@@ -46,6 +46,18 @@ val explore :
     (quotient) graph.
     @raise State_space_too_large beyond [max_states] (default 1e6). *)
 
+val explore_lazy :
+  ?max_states:int -> ?progress:Fsa_obs.Progress.t -> Fsa_apa.Apa.t -> t
+(** The graph {!explore} would return, explored on first use: {!name}
+    answers at once, every other accessor runs [explore ?max_states
+    ?progress apa] the first time one is called (so the exploration's
+    metrics, progress and {!State_space_too_large} happen then).  Safe
+    to force from several domains. *)
+
+val is_explored : t -> bool
+(** [false] only for an {!explore_lazy} graph no accessor has asked
+    for yet. *)
+
 val explore_par :
   ?max_states:int ->
   ?reduce:reduction ->

@@ -990,8 +990,7 @@ let flight_dump cfg ~trace_id =
     try
       mkdir_p dir;
       let path = Filename.concat dir (safe_filename trace_id ^ ".json") in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc (Recorder.dump_trace ~trace_id))
+      Store.write_atomic ~path (Recorder.dump_trace ~trace_id)
     with Sys_error _ | Unix.Unix_error _ -> ())
 
 (* An error kind worth a flight dump: the request died inside the

@@ -198,7 +198,8 @@ module Exec : sig
       exact unfolded graph.
       Under [meth = Abstract] the dependence pairs are answered by the
       shared multi-pair abstraction engine ({!Fsa_core.Analysis.tool}).
-      With a store configured, its quotient is cached under kind
+      With a store configured, the quotient of a spec that does not
+      split into independent modules is cached under kind
       ["quotient"], keyed by the APA digest, the erased-alphabet digest,
       [max_states], the effective reduction and the engine version.
       [Report] renders the {!Fsa_report.Report} view: the tool path

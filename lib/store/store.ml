@@ -201,25 +201,31 @@ let evict t =
 
 (* Distinct per writer even within one process: server worker domains
    share a pid, so a plain pid-keyed name could interleave two writers
-   of the same entry. *)
+   of the same file. *)
 let tmp_seq = Atomic.make 0
 
-let add t e =
-  let json = entry_to_json e in
-  let path = entry_path t e.e_key in
+let write_atomic ~path content =
   let tmp =
-    Filename.concat t.st_dir
-      (Printf.sprintf ".tmp-%d-%d-%s.json" (Unix.getpid ())
-         (Atomic.fetch_and_add tmp_seq 1)
-         e.e_key)
+    Filename.concat (Filename.dirname path)
+      (Printf.sprintf ".%s.%d.%d.tmp" (Filename.basename path) (Unix.getpid ())
+         (Atomic.fetch_and_add tmp_seq 1))
   in
+  let fail msg =
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise (Sys_error msg)
+  in
+  try
+    Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc content);
+    Unix.rename tmp path
+  with
+  | Sys_error msg -> fail msg
+  | Unix.Unix_error (e, _, _) -> fail (path ^ ": " ^ Unix.error_message e)
+
+let add t e =
   (try
-     Out_channel.with_open_bin tmp (fun oc ->
-         Out_channel.output_string oc (Json.to_string json);
-         Out_channel.output_char oc '\n');
-     Unix.rename tmp path
-   with Sys_error _ | Unix.Unix_error _ ->
-     (try Sys.remove tmp with Sys_error _ -> ()));
+     write_atomic ~path:(entry_path t e.e_key)
+       (Json.to_string (entry_to_json e) ^ "\n")
+   with Sys_error _ -> ());
   evict t
 
 (* Directory scan, not bookkeeping: the cache is shared between

@@ -69,6 +69,16 @@ val add : t -> entry -> unit
     beyond the size budget.  Write failures are silently ignored (the
     cache is an optimisation, not a stateful dependency). *)
 
+val write_atomic : path:string -> string -> unit
+(** Write a file whole or not at all: the content goes to a temp file
+    in the same directory (named apart by pid and a per-process
+    counter), which is then renamed over [path].  A crash mid-write
+    never leaves a truncated [path], and a concurrent reader sees the
+    old content or the new, never a prefix.  Every file the program
+    writes goes through it: store entries, CLI outputs, flight dumps.
+    @raise Sys_error when the write or the rename fails; the temp file
+    is removed. *)
+
 val occupancy : t -> int * int
 (** [(entries, bytes)] currently on disk, by directory scan — the cache
     may be shared with other processes, so bookkeeping inside one

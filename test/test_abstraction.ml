@@ -212,6 +212,46 @@ let test_engine_minimal_automata () =
         maxima)
     minima
 
+(* four_vehicles is two modules: the analysis composes two module
+   engines, which must answer what one engine built on the product
+   graph answers — verdicts, minimal automata (cross-module pairs
+   included), alphabet, early count — and whose shuffled DFA is the
+   product engine's, up to isomorphism. *)
+let test_composite_engine () =
+  let apa = V.four_vehicles () in
+  let r = Analysis.tool ~stakeholder:V.stakeholder apa in
+  let minima = r.Analysis.t_minima and maxima = r.Analysis.t_maxima in
+  let composite = Option.get r.Analysis.t_engine in
+  let product = engine_of (Lts.explore apa) minima maxima in
+  Alcotest.(check bool) "the product graph was not explored" false
+    (Lts.is_explored r.Analysis.t_lts);
+  Alcotest.(check bool) "alphabet" true
+    (Action.Set.equal (Hom.Shared.alphabet composite) (Hom.Shared.alphabet product));
+  Alcotest.(check int) "early count" (Hom.Shared.early_count product)
+    (Hom.Shared.early_count composite);
+  Alcotest.(check int) "dfa_states without the product"
+    (Hom.A.Dfa.nb_states (Hom.Shared.dfa product))
+    (Hom.Shared.dfa_states composite);
+  Alcotest.(check bool) "shuffled dfa isomorphic" true
+    (Hom.A.Dfa.isomorphic (Hom.Shared.dfa composite) (Hom.Shared.dfa product));
+  List.iter
+    (fun mn ->
+      List.iter
+        (fun mx ->
+          let pair = Fmt.str "(%a, %a)" Action.pp mn Action.pp mx in
+          Alcotest.(check bool) ("verdict " ^ pair)
+            (Hom.Shared.depends product ~min_action:mn ~max_action:mx)
+            (Hom.Shared.depends composite ~min_action:mn ~max_action:mx);
+          let dot e =
+            Hom.A.Dfa.dot
+              (Hom.A.Dfa.canonicalize
+                 (Hom.Shared.minimal_automaton e ~min_action:mn ~max_action:mx))
+          in
+          Alcotest.(check string) ("minimal automaton " ^ pair) (dot product)
+            (dot composite))
+        maxima)
+    minima
+
 let test_engine_rejects_foreign_pair () =
   let r = Analysis.tool ~stakeholder:V.stakeholder (V.two_vehicles ()) in
   let e = engine_of r.Analysis.t_lts r.Analysis.t_minima r.Analysis.t_maxima in
@@ -228,8 +268,11 @@ let test_engine_rejects_foreign_pair () =
 (* Quotient-cache hooks (analysis level)                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The cache serves an undecomposed graph: two_vehicles is one module
+   (its vehicles share the channel), four_vehicles two independent
+   vehicle pairs, decided without the cache. *)
 let test_quotient_cache_hooks () =
-  let apa = V.four_vehicles () in
+  let apa = V.two_vehicles () in
   let stakeholder = V.stakeholder in
   let stored = ref None in
   let finds = ref 0 and stores = ref 0 in
@@ -256,7 +299,10 @@ let test_quotient_cache_hooks () =
   | Some s -> Alcotest.(check bool) "second run is cached" true s.Analysis.sh_cached
   | None -> Alcotest.fail "expected a shared timing section");
   Alcotest.(check string) "reports byte-identical across hit and miss"
-    (render r1) (render r2)
+    (render r1) (render r2);
+  ignore (Analysis.tool ~quotient_cache:qc ~stakeholder (V.four_vehicles ()));
+  Alcotest.(check (pair int int)) "a decomposed run bypasses the cache" (2, 1)
+    (!finds, !stores)
 
 (* ------------------------------------------------------------------ *)
 (* Store integration (server level)                                    *)
@@ -440,6 +486,8 @@ let suite =
       test_engine_verdicts_match_per_pair;
     Alcotest.test_case "projected minimal automata" `Quick
       test_engine_minimal_automata;
+    Alcotest.test_case "composite engine = product engine" `Quick
+      test_composite_engine;
     Alcotest.test_case "foreign pair rejected" `Quick
       test_engine_rejects_foreign_pair;
     Alcotest.test_case "quotient cache hooks" `Quick

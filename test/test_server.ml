@@ -618,6 +618,36 @@ let test_flight_dump_on_timeout =
   Alcotest.(check bool) "no dump for a clean request" false
     (Sys.file_exists (Filename.concat dir "fine-1.json"))
 
+(* The dump is written whole through a temp file: a too_large request
+   leaves exactly its parseable <trace_id>.json, no temp residue. *)
+let test_flight_dump_atomic =
+  with_tracing @@ fun () ->
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fsa_flight_%d_%d" (Unix.getpid ())
+         (Test_store.tmp_counter_next ()))
+  in
+  Fun.protect ~finally:(fun () -> Test_store.rm_rf dir) @@ fun () ->
+  let cfg = Server.config ~flight_dir:dir () in
+  let r =
+    parse_response
+      (Server.handle_line cfg
+         (source_request ~id:9 ~op:"reach"
+            [ ("max_states", Json.Int 2); ("trace_id", Json.Str "big-1") ]))
+  in
+  Alcotest.(check (option string)) "too_large kind" (Some "too_large")
+    (error_kind r);
+  Alcotest.(check (list string)) "one dump, no temp file" [ "big-1.json" ]
+    (Array.to_list (Sys.readdir dir));
+  let dump =
+    parse_response
+      (In_channel.with_open_bin (Filename.concat dir "big-1.json")
+         In_channel.input_all)
+  in
+  Alcotest.(check (option string)) "dump names the trace" (Some "big-1")
+    (Option.bind (Json.member "trace_id" dump) Json.to_str)
+
 (* Concurrent requests under distinct trace ids: each trace's span tree
    must be self-contained — one server.request root, every other span
    parented inside the same trace — even with several worker domains
@@ -803,6 +833,7 @@ let suite =
     Alcotest.test_case "stats op" `Quick test_stats_op;
     Alcotest.test_case "flight dump on timeout" `Quick
       test_flight_dump_on_timeout;
+    Alcotest.test_case "flight dump is atomic" `Quick test_flight_dump_atomic;
     Alcotest.test_case "concurrent trace trees" `Quick
       test_concurrent_trace_trees ]
   @ List.map
