@@ -5,8 +5,15 @@
    never observe a partial entry; reads re-serialize the payload and
    compare its digest against the stored checksum, so bit rot and
    truncation degrade to a miss instead of a wrong answer.  LRU state is
-   the file mtime: [find] touches the file on a hit, [add] evicts
-   oldest-first until the directory is back under its size budget. *)
+   the file mtime: [find] stamps the file on a hit, [add] evicts
+   oldest-first until the directory is back under its size budget.
+
+   Each handle keeps an index of the directory (entry path -> size and
+   LRU time, ordered oldest first, plus the total size) so that [add]
+   evicts without listing the directory.  The index is filled by one
+   scan at the handle's first [add] and rebuilt whenever the directory's
+   mtime is not the one this handle saw after its own last change, i.e.
+   when another process added or removed an entry since. *)
 
 module Json = Fsa_json.Json
 module Metrics = Fsa_obs.Metrics
@@ -25,7 +32,32 @@ let short_key key = if String.length key > 12 then String.sub key 0 12 else key
    not replay into the new shapes. *)
 let format_version = 2
 
-type t = { st_dir : string; st_max_bytes : int }
+(* LRU times are whole microseconds: the resolution [Unix.utimes]
+   stores, so a time written to an entry's mtime reads back unchanged.
+   Entries are ordered oldest first, ties broken by path (every path has
+   the same directory prefix, so that is the file name). *)
+module Lru = Set.Make (struct
+  type t = int * string
+
+  let compare (ta, pa) (tb, pb) =
+    let c = Int.compare ta tb in
+    if c <> 0 then c else String.compare pa pb
+end)
+
+type t = {
+  st_dir : string;
+  st_max_bytes : int;
+  st_lock : Mutex.t;
+      (* guards the fields below: server worker domains and batch jobs
+         share one handle *)
+  st_slots : (string, int * int) Hashtbl.t;  (* entry path -> size, time *)
+  mutable st_lru : Lru.t;
+  mutable st_total : int;
+  mutable st_stamp : int option;
+      (* the directory's mtime after this handle's last change; [None]
+         until the first scan *)
+  mutable st_clock : int;  (* the last LRU time handed out *)
+}
 
 let dir t = t.st_dir
 
@@ -55,7 +87,14 @@ let open_ ?(max_bytes = 64 * 1024 * 1024) ~dir () =
                  (Unix.error_message e))));
   if not (Sys.is_directory dir) then
     raise (Sys_error (dir ^ ": cache path is not a directory"));
-  { st_dir = dir; st_max_bytes = max 0 max_bytes }
+  { st_dir = dir;
+    st_max_bytes = max 0 max_bytes;
+    st_lock = Mutex.create ();
+    st_slots = Hashtbl.create 64;
+    st_lru = Lru.empty;
+    st_total = 0;
+    st_stamp = None;
+    st_clock = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Keys                                                                *)
@@ -128,6 +167,91 @@ let entry_of_json ~key json =
       else None
 
 (* ------------------------------------------------------------------ *)
+(* LRU index                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let us_of_mtime m = Float.to_int (Float.round (m *. 1e6))
+
+(* The middle of the microsecond: [Unix.utimes] truncates to whole
+   microseconds, and at present-day epoch values a float is only good
+   to a quarter of one, so the edge could land in the neighbour. *)
+let mtime_of_us us = (Float.of_int us +. 0.5) /. 1e6
+
+(* Strictly increasing per handle, so the handle's own operations never
+   tie and a clock stepping back cannot reorder them. *)
+let tick t =
+  t.st_clock <- max (us_of_mtime (Unix.gettimeofday ())) (t.st_clock + 1);
+  t.st_clock
+
+(* Failure only weakens the ordering a later rescan sees. *)
+let set_time path time =
+  let m = mtime_of_us time in
+  try Unix.utimes path m m with Unix.Unix_error _ -> ()
+
+let forget t path =
+  match Hashtbl.find_opt t.st_slots path with
+  | None -> ()
+  | Some (size, time) ->
+    Hashtbl.remove t.st_slots path;
+    t.st_lru <- Lru.remove (time, path) t.st_lru;
+    t.st_total <- t.st_total - size
+
+let remember t path ~size ~time =
+  forget t path;
+  Hashtbl.replace t.st_slots path (size, time);
+  t.st_lru <- Lru.add (time, path) t.st_lru;
+  t.st_total <- t.st_total + size
+
+let dir_stamp t =
+  match Unix.stat t.st_dir with
+  | { Unix.st_mtime; _ } -> Some (us_of_mtime st_mtime)
+  | exception Unix.Unix_error _ -> None
+
+(* Fold [f] over the entry files on disk, with their [stat]. *)
+let fold_entries t f init =
+  match Sys.readdir t.st_dir with
+  | exception Sys_error _ -> init
+  | names ->
+    Array.fold_left
+      (fun acc name ->
+        if Filename.check_suffix name ".json" then
+          let path = Filename.concat t.st_dir name in
+          match Unix.stat path with
+          | { Unix.st_kind = Unix.S_REG; _ } as st -> f acc path st
+          | _ | (exception Unix.Unix_error _) -> acc
+        else acc)
+      init names
+
+let scan t =
+  Hashtbl.reset t.st_slots;
+  t.st_lru <- Lru.empty;
+  t.st_total <- 0;
+  fold_entries t
+    (fun () path st ->
+      remember t path ~size:st.Unix.st_size ~time:(us_of_mtime st.Unix.st_mtime))
+    ()
+
+(* Oldest-first eviction until the index fits the budget.  A file that
+   is already gone was evicted by another process: its bytes are freed
+   all the same, but the eviction is not this handle's to count. *)
+let evict t =
+  let rec go seq =
+    if t.st_total > t.st_max_bytes then
+      match seq () with
+      | Seq.Nil -> ()
+      | Seq.Cons ((_, path), rest) ->
+        (match Unix.unlink path with
+        | () ->
+          forget t path;
+          Metrics.incr m_evictions;
+          Recorder.record Recorder.Eviction (Filename.basename path)
+        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> forget t path
+        | exception Unix.Unix_error _ -> ());
+        go rest
+  in
+  go (Lru.to_seq t.st_lru)
+
+(* ------------------------------------------------------------------ *)
 (* Disk                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -151,53 +275,17 @@ let find t ~key =
   | Some _ ->
     Metrics.incr m_hits;
     Recorder.record Recorder.Cache_hit (short_key key);
-    (* refresh the LRU clock; failure only weakens eviction ordering *)
-    (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ())
+    (* refresh the LRU clock, on disk and, once scanned, in the index *)
+    Mutex.protect t.st_lock (fun () ->
+        let time = tick t in
+        set_time path time;
+        match Hashtbl.find_opt t.st_slots path with
+        | Some (size, _) -> remember t path ~size ~time
+        | None -> ())
   | None ->
     Metrics.incr m_misses;
     Recorder.record Recorder.Cache_miss (short_key key));
   entry
-
-(* Oldest-first eviction until the directory fits the budget.  Entries
-   sharing an mtime (coarse clocks) tie-break on file name for
-   determinism. *)
-let evict t =
-  match Sys.readdir t.st_dir with
-  | exception Sys_error _ -> ()
-  | names ->
-    let entries =
-      Array.to_list names
-      |> List.filter_map (fun name ->
-             if Filename.check_suffix name ".json" then
-               let path = Filename.concat t.st_dir name in
-               match Unix.stat path with
-               | { Unix.st_kind = Unix.S_REG; st_size; st_mtime; _ } ->
-                 Some (path, st_size, st_mtime)
-               | _ | (exception Unix.Unix_error _) -> None
-             else None)
-    in
-    let total = List.fold_left (fun acc (_, size, _) -> acc + size) 0 entries in
-    if total > t.st_max_bytes then begin
-      let by_age =
-        List.sort
-          (fun (pa, _, ma) (pb, _, mb) ->
-            let c = Float.compare ma mb in
-            if c <> 0 then c else String.compare pa pb)
-          entries
-      in
-      let excess = ref (total - t.st_max_bytes) in
-      List.iter
-        (fun (path, size, _) ->
-          if !excess > 0 then begin
-            (try
-               Sys.remove path;
-               excess := !excess - size;
-               Metrics.incr m_evictions;
-               Recorder.record Recorder.Eviction (Filename.basename path)
-             with Sys_error _ -> ())
-          end)
-        by_age
-    end
 
 (* Distinct per writer even within one process: server worker domains
    share a pid, so a plain pid-keyed name could interleave two writers
@@ -222,24 +310,22 @@ let write_atomic ~path content =
   | Unix.Unix_error (e, _, _) -> fail (path ^ ": " ^ Unix.error_message e)
 
 let add t e =
-  (try
-     write_atomic ~path:(entry_path t e.e_key)
-       (Json.to_string (entry_to_json e) ^ "\n")
-   with Sys_error _ -> ());
-  evict t
+  let path = entry_path t e.e_key in
+  let content = Json.to_string (entry_to_json e) ^ "\n" in
+  Mutex.protect t.st_lock @@ fun () ->
+  let stamp = dir_stamp t in
+  if stamp = None || stamp <> t.st_stamp then scan t;
+  (match write_atomic ~path content with
+  | () ->
+    let time = tick t in
+    set_time path time;
+    remember t path ~size:(String.length content) ~time
+  | exception Sys_error _ -> ());
+  evict t;
+  t.st_stamp <- dir_stamp t
 
-(* Directory scan, not bookkeeping: the cache is shared between
-   processes, so the only truthful occupancy is what is on disk now. *)
+(* Directory scan, not the index: the index is only brought up to date
+   by an [add], and can miss another process's change until its next
+   rescan, so the only truthful occupancy is what is on disk now. *)
 let occupancy t =
-  match Sys.readdir t.st_dir with
-  | exception Sys_error _ -> (0, 0)
-  | names ->
-    Array.fold_left
-      (fun (n, bytes) name ->
-        if Filename.check_suffix name ".json" then
-          match Unix.stat (Filename.concat t.st_dir name) with
-          | { Unix.st_kind = Unix.S_REG; st_size; _ } -> (n + 1, bytes + st_size)
-          | _ -> (n, bytes)
-          | exception Unix.Unix_error _ -> (n, bytes)
-        else (n, bytes))
-      (0, 0) names
+  fold_entries t (fun (n, bytes) _ st -> (n + 1, bytes + st.Unix.st_size)) (0, 0)

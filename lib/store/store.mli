@@ -12,8 +12,26 @@
     makes {!find} report a miss, silently falling back to recomputation
     — a corrupt cache can cost time, never correctness.  The directory
     is bounded: after each {!add} the least-recently-used entries (by
-    file mtime, which {!find} refreshes on every hit) are evicted until
-    the total size is within budget.
+    file mtime, which {!find} sets on every hit) are evicted, oldest
+    first and ties broken by file name, until the total size is within
+    budget.
+
+    Each handle evicts from an in-memory index of the directory (entry
+    path to size and LRU time, plus the total size), not from a listing:
+    one directory scan fills it at the handle's first {!add}, so
+    {!open_} and hits never scan.  {!find} and {!add} write the LRU time
+    they record into the entry's mtime, so a rescan rebuilds the same
+    order.  Before each {!add} the handle compares the directory's mtime
+    with the one it saw after its own last change, and rescans when they
+    differ: that catches entries other processes sharing the directory
+    have added or evicted since.  Other processes can still
+    - weaken the LRU order through their hits, which reorder entries on
+      disk but not in this handle's index;
+    - change the directory in the same microsecond as this handle's last
+      change (or while that change is in progress), which is seen only
+      at the next rescan; until then the directory can exceed the
+      budget by the bytes they added.
+    A mutex guards the index, so domains may share one handle.
 
     With observability enabled, the store records [store.hits],
     [store.misses] and [store.evictions]. *)
@@ -61,13 +79,18 @@ type entry = {
 
 val find : t -> key:string -> entry option
 (** Look the key up; validates version and checksum, refreshes the
-    entry's LRU clock on a hit, and never raises — I/O errors and
-    corrupt entries are misses. *)
+    entry's LRU time (its mtime, and its place in the index) on a hit,
+    and never raises — I/O errors and corrupt entries are misses. *)
 
 val add : t -> entry -> unit
 (** Write the entry atomically, then evict least-recently-used entries
-    beyond the size budget.  Write failures are silently ignored (the
-    cache is an optimisation, not a stateful dependency). *)
+    beyond the size budget, taking sizes and order from the handle's
+    index.  The directory is scanned only to fill the index, at the
+    handle's first [add], and to rebuild it when the directory's mtime
+    shows another process's change.  An entry that another process
+    already deleted counts as freed, but not in [store.evictions].
+    Write failures are silently ignored (the cache is an optimisation,
+    not a stateful dependency). *)
 
 val write_atomic : path:string -> string -> unit
 (** Write a file whole or not at all: the content goes to a temp file
@@ -80,9 +103,10 @@ val write_atomic : path:string -> string -> unit
     is removed. *)
 
 val occupancy : t -> int * int
-(** [(entries, bytes)] currently on disk, by directory scan — the cache
-    may be shared with other processes, so bookkeeping inside one
-    process would lie.  [(0, 0)] when the directory is unreadable. *)
+(** [(entries, bytes)] currently on disk, by directory scan — not from
+    the handle's index, which {!find} and {!open_} do not fill and which
+    can miss another process's change until its next rescan.  [(0, 0)]
+    when the directory is unreadable. *)
 
 (**/**)
 
