@@ -104,7 +104,6 @@ type pair_timing = {
 type shared_timing = {
   sh_alphabet_size : int;
   sh_dfa_states : int;
-  sh_cached : bool;  (** the shared quotient came from the store *)
   sh_early_pairs : int;  (** pairs decided during the single pass *)
   sh_erase_ns : int64;
   sh_determinise_ns : int64;
@@ -143,16 +142,6 @@ type tool_report = {
   t_timings : phase_timings;
   t_reduction : reduction_info option;
   t_engine : Hom.Shared.engine option;
-}
-
-(* Hook for caching the shared intermediate quotient.  The store lives
-   above this library (lib/core does not depend on lib/store), so the
-   analysis takes the cache as a pair of callbacks; the server wires
-   them to [Fsa_store] entries keyed by spec digest + erased-alphabet
-   digest + engine version. *)
-type quotient_cache = {
-  qc_find : alphabet:Action.t list -> Hom.A.Dfa.t option;
-  qc_store : alphabet:Action.t list -> Hom.A.Dfa.t -> unit;
 }
 
 let dependence ~meth lts ~min_action ~max_action =
@@ -461,8 +450,8 @@ let unfolded ?(max_states = 1_000_000) pl apa =
   in
   (Lts.of_graph ~name:(Apa.name apa) ~states edges, reps, rep_transitions)
 
-let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?flow ?reduce
-    ?quotient_cache ?progress ~stakeholder apa =
+let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?flow ?reduce ?progress
+    ~stakeholder apa =
   Span.with_ ~cat:"core" "tool" @@ fun () ->
   let timed f =
     let t0 = Span.now_ns () in
@@ -556,69 +545,47 @@ let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?flow ?reduce
   let matrix, ph_matrix_ns =
     timed @@ fun () ->
     Span.with_ ~cat:"core" "tool.dependence_matrix" @@ fun () ->
-    (* Abstract: one shared engine — erase once to the union alphabet
-       of all surviving pairs, determinise/minimise the shared image,
-       then answer every pair from it.  Pruned pairs contribute nothing
-       to the alphabet: their verdict never touches the automaton. *)
+    (* One shared engine per module, for both methods: erase once to the
+       module's share of the union alphabet of all surviving pairs,
+       determinise/minimise that image, compose the modules' engines.
+       [Abstract] reads every verdict off it; [Direct] keeps the BFS on
+       the module graph for its verdicts, and its engine serves only the
+       report's per-pair minimal automata.  Pruned pairs contribute
+       nothing to the alphabet: their verdict never touches the
+       automaton. *)
     let same_module mn mx = md.md_of mn = md.md_of mx in
+    let surviving_minima =
+      List.filter (fun mn -> List.exists (fun mx -> not (pruned mn mx)) maxima) minima
+    and surviving_maxima =
+      List.filter (fun mx -> List.exists (fun mn -> not (pruned mn mx)) minima) maxima
+    in
+    let build i lts =
+      let mine = List.filter (fun a -> md.md_of a = i) in
+      let minima = mine surviving_minima and maxima = mine surviving_maxima in
+      let alphabet =
+        Action.Set.union (Action.Set.of_list minima) (Action.Set.of_list maxima)
+      in
+      if Action.Set.is_empty alphabet then None
+      else Some (Hom.Shared.build ~alphabet ~minima ~maxima lts)
+    in
+    (engine :=
+       match List.filter_map Fun.id (Array.to_list (Array.mapi build md.md_graphs)) with
+       | [] -> None
+       | [ e ] -> Some e
+       | es ->
+         Some
+           (Hom.Shared.compose ~minima:surviving_minima
+              ~maxima:surviving_maxima es));
     let decide =
-      match meth with
-      | Direct ->
+      match (meth, !engine) with
+      | Direct, _ ->
         fun mn mx ->
           same_module mn mx
           && Lts.depends_on md.md_graphs.(md.md_of mx) ~max_action:mx
                ~min_action:mn
-      | Abstract ->
-        let surviving_minima =
-          List.filter
-            (fun mn -> List.exists (fun mx -> not (pruned mn mx)) maxima)
-            minima
-        and surviving_maxima =
-          List.filter
-            (fun mx -> List.exists (fun mn -> not (pruned mn mx)) minima)
-            maxima
-        in
-        (* One engine per module, over its share of the union alphabet
-           of the surviving pairs.  The quotient cache serves an
-           undecomposed graph only: a module's quotient costs less to
-           rebuild than the module exploration every run pays anyway,
-           and persisting it costs a store read and write per module
-           (DESIGN.md §14). *)
-        let quotient_cache =
-          if Array.length md.md_graphs = 1 then quotient_cache else None
-        in
-        let build i lts =
-          let mine = List.filter (fun a -> md.md_of a = i) in
-          let minima = mine surviving_minima and maxima = mine surviving_maxima in
-          let alphabet =
-            Action.Set.union (Action.Set.of_list minima) (Action.Set.of_list maxima)
-          in
-          if Action.Set.is_empty alphabet then None
-          else begin
-            let alist = Action.Set.elements alphabet in
-            let dfa =
-              Option.bind quotient_cache (fun qc -> qc.qc_find ~alphabet:alist)
-            in
-            let e = Hom.Shared.build ?dfa ~alphabet ~minima ~maxima lts in
-            (match quotient_cache with
-            | Some qc when not (Hom.Shared.cached e) ->
-              qc.qc_store ~alphabet:alist (Hom.Shared.dfa e)
-            | _ -> ());
-            Some e
-          end
-        in
-        (engine :=
-           match List.filter_map Fun.id (Array.to_list (Array.mapi build md.md_graphs)) with
-           | [] -> None
-           | [ e ] -> Some e
-           | es ->
-             Some
-               (Hom.Shared.compose ~minima:surviving_minima
-                  ~maxima:surviving_maxima es));
-        fun mn mx ->
-          match !engine with
-          | Some e -> Hom.Shared.depends e ~min_action:mn ~max_action:mx
-          | None -> assert false (* every pair was pruned *)
+      | Abstract, Some e ->
+        fun mn mx -> Hom.Shared.depends e ~min_action:mn ~max_action:mx
+      | Abstract, None -> fun _ _ -> assert false (* every pair was pruned *)
     in
     List.map
       (fun mx ->
@@ -703,7 +670,6 @@ let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?flow ?reduce
               { sh_alphabet_size =
                   Action.Set.cardinal (Hom.Shared.alphabet e);
                 sh_dfa_states = Hom.Shared.dfa_states e;
-                sh_cached = Hom.Shared.cached e;
                 sh_early_pairs = Hom.Shared.early_count e;
                 sh_erase_ns = bt.Hom.Shared.sb_erase_ns;
                 sh_determinise_ns = bt.Hom.Shared.sb_determinise_ns;

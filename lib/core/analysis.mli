@@ -53,7 +53,6 @@ type pair_timing = {
 type shared_timing = {
   sh_alphabet_size : int;  (** union alphabet of the surviving pairs *)
   sh_dfa_states : int;  (** states of the shared minimal quotient *)
-  sh_cached : bool;  (** the shared quotient came from the store *)
   sh_early_pairs : int;
       (** pairs already decided independent during the single pass *)
   sh_erase_ns : int64;
@@ -62,7 +61,8 @@ type shared_timing = {
   sh_early_ns : int64;
 }
 (** One-off cost and shape of the shared abstraction engine's build:
-    the erase/determinise/minimise work every [Abstract] pair shares. *)
+    the erase/determinise/minimise work every [Abstract] pair shares,
+    and which [Direct] pays for the report's per-pair automata. *)
 
 type phase_timings = {
   ph_explore_ns : int64;
@@ -71,8 +71,8 @@ type phase_timings = {
   ph_derive_ns : int64;
   ph_pairs : pair_timing list;
   ph_shared : shared_timing option;
-      (** [Some] iff the shared engine answered this run's pairs
-          ([Abstract] with at least one unpruned pair) *)
+      (** [Some] iff the run built a shared engine: at least one
+          unpruned pair, under either method *)
 }
 (** Per-phase durations of one {!tool} run.  Always collected — the
     clock readings are negligible against the phases they measure — so
@@ -107,10 +107,12 @@ type tool_report = {
   t_timings : phase_timings;
   t_reduction : reduction_info option;  (** [Some] iff [?reduce] given *)
   t_engine : Fsa_hom.Hom.Shared.engine option;
-      (** the shared multi-pair engine that answered the dependence
-          queries, when one was built ([Abstract] method);
-          downstream layers reuse it to project per-pair minimal
-          automata without re-walking the graph *)
+      (** the shared multi-pair engine, built fresh under either
+          method whenever a pair survives pruning — so [Some] whenever
+          [t_requirements <> []].  Under [Abstract] it answered the
+          dependence queries; under either method downstream layers
+          project per-pair minimal automata from it without touching
+          [t_lts] *)
 }
 
 val matrix_pairs : tool_report -> (Action.t * Action.t * bool) list
@@ -126,17 +128,6 @@ val dependence :
 (** One pair, tested on its own: {!Lts.depends_on} under [Direct],
     {!Fsa_hom.Hom.depends_abstract} under [Abstract].  The per-pair
     oracle {!tool}'s matrix must agree with. *)
-
-type quotient_cache = {
-  qc_find : alphabet:Action.t list -> Fsa_hom.Hom.A.Dfa.t option;
-  qc_store : alphabet:Action.t list -> Fsa_hom.Hom.A.Dfa.t -> unit;
-}
-(** Hook for caching the shared intermediate quotient of {!tool}'s
-    shared abstraction engine.  The store lives above this library, so
-    the analysis takes the cache as callbacks; implementations must key
-    entries on the spec digest {e and} the erased-alphabet digest {e
-    and} an engine version, so entries of another engine generation
-    never replay. *)
 
 val quotient :
   ?max_states:int ->
@@ -177,7 +168,6 @@ val tool :
   ?max_states:int ->
   ?flow:Fsa_flow.Flow.t ->
   ?reduce:Fsa_sym.Sym.plan ->
-  ?quotient_cache:quotient_cache ->
   ?progress:Fsa_obs.Progress.t ->
   stakeholder:(Action.t -> Agent.t) ->
   Fsa_apa.Apa.t ->
@@ -208,11 +198,10 @@ val tool :
     per-pair oracle {!dependence} — [preserve {min, max}] factors
     through [preserve union] and minimal DFAs are unique up to
     isomorphism.  Each module gets its own engine; several are
-    {!Fsa_hom.Hom.Shared.compose}d into [t_engine].  [quotient_cache]
-    lets the caller persist/reuse the shared quotient of a one-module
-    run across runs (see {!quotient_cache}); a cache hit
-    skips the erase/determinise/minimise and early-decision work
-    entirely.  [Direct] runs {!Lts.depends_on} per pair.
+    {!Fsa_hom.Hom.Shared.compose}d into [t_engine].  The engine is
+    built fresh on every run; nothing is persisted.  [Direct] runs
+    {!Lts.depends_on} per pair on the pair's module graph, and builds
+    the same engine for the report's per-pair minimal automata only.
 
     [flow] supplies a {!Fsa_flow.Flow} graph of the same model and
     skips every pair that graph proves flow-independent

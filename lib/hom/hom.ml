@@ -256,7 +256,6 @@ module Shared = struct
   type part = {
     sh_alphabet : Action.Set.t;
     sh_dfa : A.Dfa.t;
-    sh_cached : bool;
     sh_timing : build_timing;
     sh_early : Pair_set.t;
     mutable sh_proj : proj_index option;
@@ -373,52 +372,39 @@ module Shared = struct
 
   (* Build the engine: erase the behaviour once to the union alphabet,
      determinise and minimise the shared image, and run the on-the-fly
-     early-decision pass over the graph.  With [?dfa] (a cache hit for
-     the shared quotient) the graph is not walked at all — every pair is
-     then decided on the shared DFA, which returns the same verdicts. *)
-  let build ?dfa ~alphabet ~minima ~maxima lts =
+     early-decision pass over the graph. *)
+  let build ~alphabet ~minima ~maxima lts =
     Metrics.incr m_shared_builds;
-    match dfa with
-    | Some d ->
-      of_part
-        { sh_alphabet = alphabet;
-          sh_dfa = d;
-          sh_cached = true;
-          sh_timing = zero_timing;
-          sh_early = Pair_set.empty;
-          sh_proj = None }
-    | None ->
-      Span.with_ ~cat:"hom" "hom.shared_build" @@ fun () ->
-      let h = preserve (Action.Set.elements alphabet) in
-      let t0 = Span.now_ns () in
-      let nfa = image_nfa h lts in
-      let t1 = Span.now_ns () in
-      let det = A.Dfa.determinize nfa in
-      let t2 = Span.now_ns () in
-      let d = A.Dfa.minimize det in
-      let t3 = Span.now_ns () in
-      let early = early_pass ~minima ~maxima lts in
-      let t4 = Span.now_ns () in
-      Metrics.incr ~by:(Pair_set.cardinal early) m_early_decisions;
-      Log.debug (fun m ->
-          m
-            "shared abstraction of %s: |alphabet|=%d, %d states, %d \
-             transitions, %d pairs decided early"
-            (Lts.name lts)
-            (Action.Set.cardinal alphabet)
-            (A.Dfa.nb_states d) (A.Dfa.nb_transitions d)
-            (Pair_set.cardinal early));
-      of_part
-        { sh_alphabet = alphabet;
-          sh_dfa = d;
-          sh_cached = false;
-          sh_timing =
-            { sb_erase_ns = Int64.sub t1 t0;
-              sb_determinise_ns = Int64.sub t2 t1;
-              sb_minimise_ns = Int64.sub t3 t2;
-              sb_early_ns = Int64.sub t4 t3 };
-          sh_early = early;
-          sh_proj = None }
+    Span.with_ ~cat:"hom" "hom.shared_build" @@ fun () ->
+    let h = preserve (Action.Set.elements alphabet) in
+    let t0 = Span.now_ns () in
+    let nfa = image_nfa h lts in
+    let t1 = Span.now_ns () in
+    let det = A.Dfa.determinize nfa in
+    let t2 = Span.now_ns () in
+    let d = A.Dfa.minimize det in
+    let t3 = Span.now_ns () in
+    let early = early_pass ~minima ~maxima lts in
+    let t4 = Span.now_ns () in
+    Metrics.incr ~by:(Pair_set.cardinal early) m_early_decisions;
+    Log.debug (fun m ->
+        m
+          "shared abstraction of %s: |alphabet|=%d, %d states, %d \
+           transitions, %d pairs decided early"
+          (Lts.name lts)
+          (Action.Set.cardinal alphabet)
+          (A.Dfa.nb_states d) (A.Dfa.nb_transitions d)
+          (Pair_set.cardinal early));
+    of_part
+      { sh_alphabet = alphabet;
+        sh_dfa = d;
+        sh_timing =
+          { sb_erase_ns = Int64.sub t1 t0;
+            sb_determinise_ns = Int64.sub t2 t1;
+            sb_minimise_ns = Int64.sub t3 t2;
+            sb_early_ns = Int64.sub t4 t3 };
+        sh_early = early;
+        sh_proj = None }
 
   (* The part whose alphabet holds [a]; parts' alphabets are disjoint. *)
   let part_of e a =
@@ -466,8 +452,6 @@ module Shared = struct
 
   let dfa_states e =
     List.fold_left (fun n p -> n * A.Dfa.nb_states p.sh_dfa) 1 e.e_parts
-
-  let cached e = List.for_all (fun p -> p.sh_cached) e.e_parts
 
   let timing e =
     List.fold_left

@@ -91,7 +91,6 @@ module Shared : sig
   type engine
 
   val build :
-    ?dfa:A.Dfa.t ->
     alphabet:Action.Set.t ->
     minima:Action.t list ->
     maxima:Action.t list ->
@@ -99,9 +98,8 @@ module Shared : sig
     engine
   (** Build the shared quotient for [alphabet] (the union of all pair
       actions) and run the early-decision pass for the given minima and
-      maxima.  [?dfa] injects a previously cached shared quotient: the
-      behaviour graph is then not walked at all (and no pair is decided
-      early — all verdicts come off the shared DFA, identically). *)
+      maxima.  The quotient is built fresh on every call; nothing is
+      persisted across runs. *)
 
   val compose :
     minima:Action.t list -> maxima:Action.t list -> engine list -> engine
@@ -126,9 +124,6 @@ module Shared : sig
   val dfa_states : engine -> int
   (** [A.Dfa.nb_states (dfa e)], without building a composite's
       product. *)
-
-  val cached : engine -> bool
-  (** Every factor's quotient came from the cache. *)
 
   val timing : engine -> build_timing
   (** Summed over the factors. *)

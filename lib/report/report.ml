@@ -324,28 +324,15 @@ let of_tool ?origins ?(soses = []) ?alphabet ~digest ~settings
     match origins with Some os -> os | None -> origins_of_rules universe
   in
   let reqs = Auth.normalise tr.Analysis.t_requirements in
-  (* Per-item minimal automata come from a shared projection engine.
-     Reuse the one the analysis itself built when it ran the shared
-     pass (its alphabet covers every surviving pair, hence every
-     requirement); otherwise pay one build over the union alphabet of
-     the requirement endpoints — one graph walk either way, never one
-     per requirement. *)
+  (* Per-item minimal automata are projected from the engine the
+     analysis built: its alphabet covers every surviving pair, hence
+     every requirement, and reading it never touches [t_lts] (which
+     would force a decomposed run's product graph). *)
   let engine =
-    if reqs = [] then None
-    else
-      match tr.Analysis.t_engine with
-      | Some _ as e -> e
-      | None ->
-        let alpha =
-          List.fold_left
-            (fun s r ->
-              Action.Set.add (Auth.cause r)
-                (Action.Set.add (Auth.effect r) s))
-            Action.Set.empty reqs
-        in
-        Some
-          (Hom.Shared.build ~alphabet:alpha ~minima:[] ~maxima:[]
-             tr.Analysis.t_lts)
+    match (reqs, tr.Analysis.t_engine) with
+    | [], _ -> None
+    | _, (Some _ as e) -> e
+    | _, None -> invalid_arg "Report.of_tool: requirements without a shared engine"
   in
   let items =
     List.mapi

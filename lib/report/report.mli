@@ -173,9 +173,10 @@ val of_tool :
     the coverage summary — pass {!Fsa_apa.Apa.rule_names} to keep it
     independent of ample-set reduction.  Per-item minimal automata are
     projected from the run's own shared engine
-    ({!Fsa_core.Analysis.tool_report.t_engine}) when the analysis built
-    one, else from one fresh {!Fsa_hom.Hom.Shared} build over the union
-    alphabet of the requirement endpoints. *)
+    ({!Fsa_core.Analysis.tool_report.t_engine}); [t_lts] is never read
+    when [alphabet] is given.
+    @raise Invalid_argument when the run has requirements but no
+    engine ({!Fsa_core.Analysis.tool} always builds one then). *)
 
 val of_manual :
   digest:string -> Fsa_model.Sos.t -> Fsa_core.Analysis.manual_report -> t

@@ -131,9 +131,9 @@ module Exec = struct
       [ Analysis.Direct; Analysis.Abstract ]
 
   (* Version stamp of the shared abstraction engine.  Part of every
-     abstract-method requirements key and of every quotient entry's
-     key, so entries written by a different engine generation can never
-     replay as this one's results. *)
+     abstract-method requirements and report key, so entries written by
+     a different engine generation can never replay as this one's
+     results. *)
   let abstraction_engine = "shared-v1"
 
   (* Which engine answers dependence queries — part of the
@@ -179,11 +179,6 @@ module Exec = struct
     | Analyze -> [ Sos ]
     | Abstract -> [ Max_states; Keep ]
     | Check -> []
-
-  (* The shared quotient depends only on the APA part of the spec, the
-     exploration bound and the effective reduction (its key adds the
-     erased alphabet and the engine version). *)
-  let quotient_fields = [ Max_states; Reduce ]
 
   (* A field's cache-key params.  [reduce] keys because reduced runs
      report quotient statistics; [flow] because flow-pruned outcomes
@@ -398,7 +393,6 @@ module Exec = struct
     Json.Obj
       [ ("alphabet", Json.Int s.Analysis.sh_alphabet_size);
         ("dfa_states", Json.Int s.Analysis.sh_dfa_states);
-        ("cached", Json.Bool s.Analysis.sh_cached);
         ("early_pairs", Json.Int s.Analysis.sh_early_pairs);
         ("erase_ms", Json.Float (ms_of_ns s.Analysis.sh_erase_ns));
         ( "determinise_ms",
@@ -436,110 +430,13 @@ module Exec = struct
       | None -> []
       | Some s -> [ ("shared", shared_json s) ])
 
-  (* ---- shared-quotient cache ------------------------------------ *)
-
-  module Int_set = Fsa_automata.Automata.Int_set
-
-  let dfa_to_json dfa =
-    let module D = Hom.A.Dfa in
-    Json.Obj
-      [ ("states", Json.Int (D.nb_states dfa));
-        ("start", Json.Int (D.start dfa));
-        ( "finals",
-          Json.List
-            (List.map
-               (fun i -> Json.Int i)
-               (Int_set.elements (D.finals dfa))) );
-        ( "edges",
-          Json.List
-            (List.map
-               (fun (s, l, d) ->
-                 Json.List
-                   [ Json.Int s; Json.Str (Action.to_string l); Json.Int d ])
-               (D.transitions dfa)) ) ]
-
-  (* Any malformed shape is [None] — a silent cache miss, matching the
-     store's corruption contract. *)
-  let dfa_of_json j =
-    let module D = Hom.A.Dfa in
-    match
-      ( Option.bind (Json.member "states" j) Json.to_int,
-        Option.bind (Json.member "start" j) Json.to_int,
-        Json.member "finals" j,
-        Json.member "edges" j )
-    with
-    | Some n, Some start, Some (Json.List finals), Some (Json.List edges)
-      when n >= 0 && start >= 0 && start < n -> (
-      try
-        let fins =
-          List.fold_left
-            (fun acc v ->
-              match Json.to_int v with
-              | Some i when i >= 0 && i < n -> Int_set.add i acc
-              | _ -> raise Exit)
-            Int_set.empty finals
-        in
-        let delta = Array.make n Hom.A.Lmap.empty in
-        List.iter
-          (fun e ->
-            match e with
-            | Json.List [ Json.Int s; Json.Str l; Json.Int d ]
-              when s >= 0 && s < n && d >= 0 && d < n -> (
-              match Action.of_string l with
-              | Ok a -> delta.(s) <- Hom.A.Lmap.add a d delta.(s)
-              | Error _ -> raise Exit)
-            | _ -> raise Exit)
-          edges;
-        Some (D.create ~nb_states:n ~start ~finals:fins ~delta)
-      with Exit -> None)
-    | _ -> None
-
-  (* Only cache when every alphabet action survives the string round
-     trip: an action [Action.of_string] cannot reconstruct exactly
-     would deserialise into a different DFA. *)
-  let alphabet_round_trips alphabet =
-    List.for_all
-      (fun a ->
-        match Action.of_string (Action.to_string a) with
-        | Ok a' -> Action.equal a a'
-        | Error _ -> false)
-      alphabet
-
-  let quotient_cache st ~digest p : Analysis.quotient_cache =
-    let key ~alphabet =
-      let params =
-        ("engine", abstraction_engine)
-        :: ( "alphabet",
-             Store.digest_hex
-               (String.concat "\x00" (List.map Action.to_string alphabet)) )
-        :: List.concat_map (field_key p) quotient_fields
-      in
-      Store.cache_key ~digest ~kind:"quotient" ~params
-    in
-    { Analysis.qc_find =
-        (fun ~alphabet ->
-          if not (alphabet_round_trips alphabet) then None
-          else
-            match Store.find st ~key:(key ~alphabet) with
-            | Some e -> dfa_of_json e.Store.e_result
-            | None -> None);
-      qc_store =
-        (fun ~alphabet dfa ->
-          if alphabet_round_trips alphabet then
-            Store.add st
-              { Store.e_key = key ~alphabet;
-                e_kind = "quotient";
-                e_result = dfa_to_json dfa;
-                e_output = "";
-                e_exit = 0 }) }
-
   (* ---- requirement reports -------------------------------------- *)
 
   (* One tool-path run plus its Fsa_report view.  The report digest
      covers APA *and* models: classification maps requirements onto the
      declared functional models, so a model edit must change it even
      when the APA part is untouched. *)
-  let tool_report_of cfg ~progress ?quotient_cache p spec =
+  let tool_report_of cfg ~progress p spec =
     let apa = apa_of spec in
     (* the flow graph is rebuilt per request: it is cheap (no state
        space) and its attribution needs the located skeleton *)
@@ -556,7 +453,7 @@ module Exec = struct
     let tr =
       Analysis.tool ~meth:p.meth ~max_states:p.max_states ?flow:flow_graph
         ?reduce:(reduce_plan p spec apa)
-        ?quotient_cache ?progress ~stakeholder:cfg.sv_stakeholder apa
+        ?progress ~stakeholder:cfg.sv_stakeholder apa
     in
     let rpt =
       Report.of_tool
@@ -569,8 +466,8 @@ module Exec = struct
     in
     (tr, rpt)
 
-  let run_requirements cfg ~progress ?quotient_cache p spec =
-    let report, rpt = tool_report_of cfg ~progress ?quotient_cache p spec in
+  let run_requirements cfg ~progress p spec =
+    let report, rpt = tool_report_of cfg ~progress p spec in
     let reduction =
       match report.Analysis.t_reduction with
       | None -> []
@@ -631,7 +528,7 @@ module Exec = struct
      path when the spec elaborates instances (or the manual path for an
      explicitly named sos), otherwise the manual path over the declared
      functional models, mirroring [run_analyze]'s selection. *)
-  let run_report cfg ~progress ?quotient_cache p spec =
+  let run_report cfg ~progress p spec =
     let manual soses =
       let digest = Elaborate.digest_of_spec ~parts:[ `Models ] spec in
       List.map (fun s -> Report.of_manual ~digest s (Analysis.manual s)) soses
@@ -641,7 +538,7 @@ module Exec = struct
       | Some _ -> manual (soses_of p spec)
       | None ->
         if (Elaborate.env_of_spec spec).Elaborate.instances <> [] then
-          [ snd (tool_report_of cfg ~progress ?quotient_cache p spec) ]
+          [ snd (tool_report_of cfg ~progress p spec) ]
         else manual (soses_of p spec)
     in
     match reports with
@@ -773,30 +670,15 @@ module Exec = struct
       | None, None -> None
     in
     let compute () =
-      (* the quotient cache shares the outcome store; a quotient entry
-         is useful exactly when the outcome itself missed (different
-         max_states, evicted outcome, …) *)
-      let quotient_hook () =
-        match (p.meth, if cache then cfg.sv_store else None) with
-        | Analysis.Abstract, Some st ->
-          Some
-            (quotient_cache st
-               ~digest:(Elaborate.digest_of_spec ~parts:[ `Apa ] spec)
-               p)
-        | _ -> None
-      in
       try
         match op with
         | Reach -> run_reach ~progress p spec
-        | Requirements ->
-          run_requirements cfg ~progress ?quotient_cache:(quotient_hook ()) p
-            spec
+        | Requirements -> run_requirements cfg ~progress p spec
         | Analyze -> run_analyze p spec
         | Abstract -> run_abstract ~progress p spec
         | Verify -> run_verify ~progress p spec
         | Check -> run_check ~file spec
-        | Report ->
-          run_report cfg ~progress ?quotient_cache:(quotient_hook ()) p spec
+        | Report -> run_report cfg ~progress p spec
       with Lts.State_space_too_large n ->
         (* enrich with the structural growth hint while the spec is still
            in scope; never let the hint computation mask the error *)

@@ -197,11 +197,9 @@ module Exec : sig
       arbitrary properties, and the symmetry path model-checks the
       exact unfolded graph.
       Under [meth = Abstract] the dependence pairs are answered by the
-      shared multi-pair abstraction engine ({!Fsa_core.Analysis.tool}).
-      With a store configured, the quotient of a spec that does not
-      split into independent modules is cached under kind
-      ["quotient"], keyed by the APA digest, the erased-alphabet digest,
-      [max_states], the effective reduction and the engine version.
+      shared multi-pair abstraction engine ({!Fsa_core.Analysis.tool}),
+      built fresh on every computed run: the outcome entry is the only
+      thing the store holds, and a miss recomputes the whole analysis.
       [Report] renders the {!Fsa_report.Report} view: the tool path
       when the spec elaborates instances (or the manual path for an
       explicitly named [sos]), otherwise the manual path over every

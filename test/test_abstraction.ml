@@ -1,10 +1,10 @@
 (* Tests for the dependence engine: the tool path's matrix and
    requirement set against the per-pair oracle across every bundled
    example spec (x --reduce kind x method), the on-the-fly
-   early-decision pass, projected minimal automata, the quotient-cache
-   hooks at the analysis level, and the engine-versioned store keys at
-   the server level (pre-engine entries must never replay as
-   shared-pass results). *)
+   early-decision pass, projected minimal automata, the report's reuse
+   of the analysis engine, and the engine-versioned store keys at the
+   server level (pre-engine entries must never replay as shared-pass
+   results). *)
 
 module Action = Fsa_term.Action
 module Apa = Fsa_apa.Apa
@@ -20,8 +20,6 @@ module Exec = Fsa_server.Server.Exec
 module Json = Fsa_json.Json
 module Store = Fsa_store.Store
 module V = Fsa_vanet.Vehicle_apa
-
-let render r = Fmt.str "%a" Analysis.pp_tool_report r
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence with the per-pair oracle                                *)
@@ -126,24 +124,60 @@ let test_shared_identical_specs () =
       check_matches_oracle name ~guard_sig apa)
 
 (* The shared engine must actually answer the pairs: its timing section
-   is present and covers every minimum and maximum. *)
+   is present and covers every minimum and maximum.  The direct method
+   builds the same engine, for the report's per-pair automata. *)
 let test_shared_timing_section () =
   let r = Analysis.tool ~stakeholder:V.stakeholder (V.four_vehicles ()) in
   match r.Analysis.t_timings.Analysis.ph_shared with
   | None -> Alcotest.fail "expected a shared timing section"
   | Some s ->
-    Alcotest.(check bool) "fresh build" false s.Analysis.sh_cached;
     Alcotest.(check bool) "quotient has states" true (s.Analysis.sh_dfa_states > 0);
     Alcotest.(check bool)
       "alphabet covers minima and maxima" true
       (s.Analysis.sh_alphabet_size
       = List.length r.Analysis.t_minima + List.length r.Analysis.t_maxima);
-    Alcotest.(check bool)
-      "direct method builds no engine" true
-      ((Analysis.tool ~meth:Analysis.Direct ~stakeholder:V.stakeholder
-          (V.four_vehicles ()))
-         .Analysis.t_timings.Analysis.ph_shared
-      = None)
+    let shape (s : Analysis.shared_timing) =
+      (s.Analysis.sh_alphabet_size, s.Analysis.sh_dfa_states, s.Analysis.sh_early_pairs)
+    in
+    let d =
+      Analysis.tool ~meth:Analysis.Direct ~stakeholder:V.stakeholder
+        (V.four_vehicles ())
+    in
+    Alcotest.(check (option (triple int int int)))
+      "direct builds the abstract method's engine" (Some (shape s))
+      (Option.map shape d.Analysis.t_timings.Analysis.ph_shared)
+
+(* A direct report on a decomposed spec (four_vehicles: two modules)
+   reads its per-item automata off the analysis engine: the product
+   graph is never explored. *)
+let test_direct_report_leaves_product_unexplored () =
+  let module R = Fsa_report.Report in
+  let apa = V.four_vehicles () in
+  let r = Analysis.tool ~meth:Analysis.Direct ~stakeholder:V.stakeholder apa in
+  Alcotest.(check bool) "has requirements" true (r.Analysis.t_requirements <> []);
+  let rpt =
+    R.of_tool ~alphabet:(Apa.rule_names apa) ~digest:"four_vehicles"
+      ~settings:
+        { R.sg_path = "tool";
+          sg_method = "direct";
+          sg_engine = "direct";
+          sg_reduce = "none";
+          sg_prune = "none";
+          sg_max_states = 1_000_000 }
+      r
+  in
+  Alcotest.(check bool) "every item has an automaton" true
+    (List.for_all (fun it -> it.R.it_automaton <> None) rpt.R.r_items);
+  Alcotest.(check bool) "the product graph was not explored" false
+    (Lts.is_explored r.Analysis.t_lts);
+  Alcotest.(check bool) "requirements without an engine are refused" true
+    (match
+       R.of_tool ~alphabet:(Apa.rule_names apa) ~digest:"four_vehicles"
+         ~settings:rpt.R.r_settings
+         { r with Analysis.t_engine = None }
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* The engine itself: verdicts, projection, early decisions            *)
@@ -160,16 +194,6 @@ let test_engine_verdicts_match_per_pair () =
   let lts = r.Analysis.t_lts in
   let minima = r.Analysis.t_minima and maxima = r.Analysis.t_maxima in
   let e = engine_of lts minima maxima in
-  (* a cached engine (quotient injected, graph never walked) must give
-     the same verdicts, with the early-decision pass skipped *)
-  let e' =
-    Hom.Shared.build ~dfa:(Hom.Shared.dfa e)
-      ~alphabet:(Hom.Shared.alphabet e) ~minima ~maxima lts
-  in
-  Alcotest.(check bool) "injected quotient reports cached" true
-    (Hom.Shared.cached e');
-  Alcotest.(check int) "no early pass on a cached engine" 0
-    (Hom.Shared.early_count e');
   List.iter
     (fun mn ->
       List.iter
@@ -181,11 +205,7 @@ let test_engine_verdicts_match_per_pair () =
           Alcotest.(check bool)
             (Fmt.str "verdict (%a, %a)" Action.pp mn Action.pp mx)
             expected
-            (Hom.Shared.depends e ~min_action:mn ~max_action:mx);
-          Alcotest.(check bool)
-            (Fmt.str "cached verdict (%a, %a)" Action.pp mn Action.pp mx)
-            expected
-            (Hom.Shared.depends e' ~min_action:mn ~max_action:mx))
+            (Hom.Shared.depends e ~min_action:mn ~max_action:mx))
         maxima)
     minima
 
@@ -265,95 +285,22 @@ let test_engine_rejects_foreign_pair () =
     | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Quotient-cache hooks (analysis level)                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The cache serves an undecomposed graph: two_vehicles is one module
-   (its vehicles share the channel), four_vehicles two independent
-   vehicle pairs, decided without the cache. *)
-let test_quotient_cache_hooks () =
-  let apa = V.two_vehicles () in
-  let stakeholder = V.stakeholder in
-  let stored = ref None in
-  let finds = ref 0 and stores = ref 0 in
-  let qc =
-    { Analysis.qc_find =
-        (fun ~alphabet:_ ->
-          incr finds;
-          !stored);
-      qc_store =
-        (fun ~alphabet:_ dfa ->
-          incr stores;
-          stored := Some dfa) }
-  in
-  let r1 = Analysis.tool ~quotient_cache:qc ~stakeholder apa in
-  Alcotest.(check int) "miss consults the cache" 1 !finds;
-  Alcotest.(check int) "fresh quotient is stored" 1 !stores;
-  (match r1.Analysis.t_timings.Analysis.ph_shared with
-  | Some s -> Alcotest.(check bool) "first run is uncached" false s.Analysis.sh_cached
-  | None -> Alcotest.fail "expected a shared timing section");
-  let r2 = Analysis.tool ~quotient_cache:qc ~stakeholder apa in
-  Alcotest.(check int) "hit consults the cache" 2 !finds;
-  Alcotest.(check int) "hit is not re-stored" 1 !stores;
-  (match r2.Analysis.t_timings.Analysis.ph_shared with
-  | Some s -> Alcotest.(check bool) "second run is cached" true s.Analysis.sh_cached
-  | None -> Alcotest.fail "expected a shared timing section");
-  Alcotest.(check string) "reports byte-identical across hit and miss"
-    (render r1) (render r2);
-  ignore (Analysis.tool ~quotient_cache:qc ~stakeholder (V.four_vehicles ()));
-  Alcotest.(check (pair int int)) "a decomposed run bypasses the cache" (2, 1)
-    (!finds, !stores)
-
-(* ------------------------------------------------------------------ *)
 (* Store integration (server level)                                    *)
 (* ------------------------------------------------------------------ *)
 
 let parse s = Parser.parse_string s
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
-
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-  go 0
-
-let entries_of_kind dir kind =
-  let affix = Printf.sprintf "\"kind\":%S" kind in
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".json")
-  |> List.filter_map (fun f ->
-         let path = Filename.concat dir f in
-         if contains ~affix (read_file path) then Some path else None)
-
-let shared_cached o =
-  match
-    Option.bind
-      (Option.bind (Json.member "timings" o.Exec.oc_result)
-         (Json.member "shared"))
-      (Json.member "cached")
-  with
-  | Some (Json.Bool b) -> b
-  | _ -> Alcotest.fail "result has no timings.shared.cached member"
-
 let with_store f () =
   let dir = Test_store.tmp_dir () in
   Fun.protect
     ~finally:(fun () -> Test_store.rm_rf dir)
-    (fun () -> f (Store.open_ ~dir ()) dir)
+    (fun () -> f (Store.open_ ~dir ()))
 
 (* The default keys are pinned — stores written by earlier releases keep
    hitting — and direct-method outcomes live under their own ["engine"]
    param, so the two methods never replay for each other. *)
 let test_engine_cache_keys =
-  with_store (fun st _dir ->
+  with_store (fun st ->
       let cfg = Server.config ~store:st () in
       let spec = parse Test_store.spec_text in
       let digest = Elaborate.digest_of_spec ~parts:[ `Apa; `Models ] spec in
@@ -390,7 +337,7 @@ let test_engine_cache_keys =
    param — what earlier releases produced) must never replay as a
    shared-pass result. *)
 let test_pre_engine_entry_not_replayed =
-  with_store (fun st _dir ->
+  with_store (fun st ->
       let spec = parse Test_store.spec_text in
       let digest = Elaborate.digest_of_spec ~parts:[ `Apa ] spec in
       let stale_key =
@@ -409,72 +356,6 @@ let test_pre_engine_entry_not_replayed =
       Alcotest.(check bool) "fresh report computed" false
         (String.equal o.Exec.oc_output "stale pre-engine entry"))
 
-(* The shared quotient is persisted under kind ["quotient"] and reused
-   when the outcome entry is gone; corrupt or bogus quotient entries
-   are silent misses with identical verdicts. *)
-let test_quotient_reuse_and_corruption =
-  with_store (fun st dir ->
-      let cfg = Server.config ~store:st () in
-      let spec = parse Test_store.spec_text in
-      let run () = Exec.run cfg ~op:Exec.Requirements ~file:"a.fsa" spec in
-      let delete_outcome () =
-        match entries_of_kind dir "requirements" with
-        | [ p ] -> Sys.remove p
-        | ps ->
-          Alcotest.failf "expected one requirements entry, found %d"
-            (List.length ps)
-      in
-      let quotient_entry () =
-        match entries_of_kind dir "quotient" with
-        | [ q ] -> q
-        | qs ->
-          Alcotest.failf "expected one quotient entry, found %d"
-            (List.length qs)
-      in
-      let o1 = run () in
-      Alcotest.(check bool) "first run computes" false o1.Exec.oc_cached;
-      Alcotest.(check bool) "first run builds the quotient fresh" false
-        (shared_cached o1);
-      ignore (quotient_entry ());
-      (* outcome gone, quotient kept: the engine is rebuilt from the
-         store without re-walking the graph *)
-      delete_outcome ();
-      let o2 = run () in
-      Alcotest.(check bool) "outcome is a miss" false o2.Exec.oc_cached;
-      Alcotest.(check bool) "quotient is a hit" true (shared_cached o2);
-      Alcotest.(check bool) "requirements identical off the cached quotient"
-        true
-        (Json.member "requirements" o2.Exec.oc_result
-        = Json.member "requirements" o1.Exec.oc_result);
-      Alcotest.(check string) "rendered report identical" o1.Exec.oc_output
-        o2.Exec.oc_output;
-      (* truncated entry bytes: fails the store checksum, so a miss *)
-      delete_outcome ();
-      (let q = quotient_entry () in
-       let s = read_file q in
-       write_file q (String.sub s 0 (String.length s / 2)));
-      let o3 = run () in
-      Alcotest.(check bool) "corrupt quotient entry is a miss" false
-        (shared_cached o3);
-      Alcotest.(check string) "verdicts unchanged after corruption"
-        o1.Exec.oc_output o3.Exec.oc_output;
-      (* well-formed entry, bogus payload: the DFA decoder must reject
-         it rather than trust the bytes *)
-      delete_outcome ();
-      (let q = quotient_entry () in
-       let key = Filename.remove_extension (Filename.basename q) in
-       Store.add st
-         { Store.e_key = key;
-           e_kind = "quotient";
-           e_result = Json.Str "not a dfa";
-           e_output = "";
-           e_exit = 0 });
-      let o4 = run () in
-      Alcotest.(check bool) "bogus quotient payload is a miss" false
-        (shared_cached o4);
-      Alcotest.(check string) "verdicts unchanged after bogus payload"
-        o1.Exec.oc_output o4.Exec.oc_output)
-
 let suite =
   [ Alcotest.test_case "shared = legacy (vanet builders)" `Quick
       test_shared_identical_vanet;
@@ -482,6 +363,8 @@ let suite =
       test_shared_identical_specs;
     Alcotest.test_case "shared timing section" `Quick
       test_shared_timing_section;
+    Alcotest.test_case "direct report leaves the product unexplored" `Quick
+      test_direct_report_leaves_product_unexplored;
     Alcotest.test_case "engine verdicts = per-pair" `Quick
       test_engine_verdicts_match_per_pair;
     Alcotest.test_case "projected minimal automata" `Quick
@@ -490,11 +373,7 @@ let suite =
       test_composite_engine;
     Alcotest.test_case "foreign pair rejected" `Quick
       test_engine_rejects_foreign_pair;
-    Alcotest.test_case "quotient cache hooks" `Quick
-      test_quotient_cache_hooks;
     Alcotest.test_case "engine-versioned cache keys" `Quick
       test_engine_cache_keys;
     Alcotest.test_case "pre-engine entry never replays" `Quick
-      test_pre_engine_entry_not_replayed;
-    Alcotest.test_case "quotient reuse and corruption" `Quick
-      test_quotient_reuse_and_corruption ]
+      test_pre_engine_entry_not_replayed ]

@@ -224,8 +224,9 @@ let prop_cached_step =
 (* The modular analysis against the product graph it never builds:
    graph statistics, minima and maxima, every pair of the matrix (the
    per-pair oracle [Analysis.dependence] on the product), the
-   requirements, and each requirement's minimal automaton.  Both
-   methods. *)
+   requirements, and each requirement's minimal automaton, read off the
+   run's own engine — which both methods must build whenever there are
+   requirements. *)
 module Analysis = Fsa_core.Analysis
 module Hom = Fsa_hom.Hom
 module Auth = Fsa_requirements.Auth
@@ -258,19 +259,16 @@ let modular_equals_product ~meth apa =
     |> Auth.normalise
   in
   let automata_agree () =
-    let engine =
-      match r.Analysis.t_engine with
-      | Some e -> e
-      | None ->
-        Hom.Shared.build ~alphabet:(Lts.alphabet product) ~minima:[] ~maxima:[] product
-    in
-    List.for_all
-      (fun a ->
-        let mn = Auth.cause a and mx = Auth.effect a in
-        Hom.A.Dfa.isomorphic
-          (Hom.Shared.minimal_automaton engine ~min_action:mn ~max_action:mx)
-          (Hom.minimal_automaton (Hom.preserve [ mn; mx ]) product))
-      requirements
+    match r.Analysis.t_engine with
+    | None -> requirements = []
+    | Some engine ->
+      List.for_all
+        (fun a ->
+          let mn = Auth.cause a and mx = Auth.effect a in
+          Hom.A.Dfa.isomorphic
+            (Hom.Shared.minimal_automaton engine ~min_action:mn ~max_action:mx)
+            (Hom.minimal_automaton (Hom.preserve [ mn; mx ]) product))
+        requirements
   in
   let names = List.map Action.to_string in
   let rows m =
@@ -295,6 +293,46 @@ let prop_modular_equals_product =
         QCheck2.assume (fits apa);
         modular_equals_product ~meth:Analysis.Abstract apa
         && modular_equals_product ~meth:Analysis.Direct apa)
+
+(* The outcome store is transparent.  Computed against a fresh store
+   (cold), replayed from it (warm) and computed with the cache off,
+   [requirements] and [report] give the same output and the same result
+   up to its [timings] section, the wall clocks of the run that produced
+   it. *)
+module Server = Fsa_server.Server
+module Exec = Server.Exec
+module Json = Fsa_json.Json
+
+let without_timings = function
+  | Json.Obj ms -> Json.Obj (List.filter (fun (k, _) -> k <> "timings") ms)
+  | j -> j
+
+let prop_cold_cached_uncached =
+  QCheck2.Test.make ~name:"cold = cached = uncached via Exec.run" ~count:30
+    gen_spec (fun spec ->
+      match Elaborate.apa_of_spec spec with
+      | exception Fsa_spec.Loc.Error _ -> true
+      | apa ->
+        QCheck2.assume (fits apa);
+        let dir = Test_store.tmp_dir () in
+        Fun.protect ~finally:(fun () -> Test_store.rm_rf dir) @@ fun () ->
+        let cfg = Server.config ~store:(Fsa_store.Store.open_ ~dir ()) () in
+        List.for_all
+          (fun op ->
+            let run cache = Exec.run cfg ~op ~cache ~file:"random.fsa" spec in
+            let cold = run true in
+            let warm = run true in
+            let uncached = run false in
+            let agrees o =
+              String.equal o.Exec.oc_output cold.Exec.oc_output
+              && Json.equal
+                   (without_timings o.Exec.oc_result)
+                   (without_timings cold.Exec.oc_result)
+            in
+            (not cold.Exec.oc_cached) && warm.Exec.oc_cached
+            && (not uncached.Exec.oc_cached)
+            && agrees warm && agrees uncached)
+          [ Exec.Requirements; Exec.Report ])
 
 (* The generator reaches both sides of the decomposition: a decomposed
    run leaves the product graph unexplored. *)
@@ -323,4 +361,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_roundtrip_ast;
     QCheck_alcotest.to_alcotest prop_roundtrip_behaviour;
     QCheck_alcotest.to_alcotest prop_elaboration_total;
-    QCheck_alcotest.to_alcotest prop_cached_step ]
+    QCheck_alcotest.to_alcotest prop_cached_step;
+    QCheck_alcotest.to_alcotest prop_cold_cached_uncached ]
