@@ -157,14 +157,6 @@ let max_states_arg =
            ~doc:"State bound (per request under $(b,serve), per file \
                  under $(b,batch)).")
 
-let meth_conv =
-  let parse s =
-    match Exec.meth_of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg (Printf.sprintf "unknown method %S (direct|abstract)" s))
-  in
-  Arg.conv (parse, fun ppf m -> Fmt.string ppf (Exec.meth_to_string m))
-
 let reduce_conv =
   let parse s =
     match Sym.kind_of_string s with
@@ -174,10 +166,6 @@ let reduce_conv =
   in
   let print ppf k = Fmt.string ppf (Sym.kind_to_string k) in
   Arg.conv (parse, print)
-
-let meth_arg =
-  Arg.(value & opt meth_conv Exec.defaults.meth
-       & info [ "method" ] ~doc:"Dependence test: direct or abstract.")
 
 let flow_arg =
   Arg.(value & flag
@@ -220,7 +208,6 @@ let keep_arg =
 let field_arg op : Exec.field -> (Exec.params -> Exec.params) Term.t =
   let set f arg = Term.(const f $ arg) in
   function
-  | Exec.Meth -> set (fun meth p -> { p with Exec.meth }) meth_arg
   | Exec.Max_states ->
     set (fun max_states p -> { p with Exec.max_states }) max_states_arg
   | Exec.Flow -> set (fun flow p -> { p with Exec.flow }) flow_arg

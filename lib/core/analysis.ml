@@ -83,13 +83,9 @@ let pp_manual_report ppf r =
 (* Tool path                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type dependence_method =
-  | Direct  (* BFS on the reachability graph *)
-  | Abstract  (* homomorphism + minimal automaton, as in Sect. 5.5 *)
-
-(* Wall-clock time of one (min, max) dependence test: the BFS under
-   Direct, the verdict off the shared quotient under Abstract (whose
-   erase/determinise/minimise cost is paid once, in [shared_timing]). *)
+(* Wall-clock time of one (min, max) dependence test: the verdict off
+   the shared quotient (whose erase/determinise/minimise cost is paid
+   once, in [shared_timing]). *)
 type pair_timing = {
   pt_min : Action.t;
   pt_max : Action.t;
@@ -143,11 +139,6 @@ type tool_report = {
   t_reduction : reduction_info option;
   t_engine : Hom.Shared.engine option;
 }
-
-let dependence ~meth lts ~min_action ~max_action =
-  match meth with
-  | Direct -> Lts.depends_on lts ~max_action ~min_action
-  | Abstract -> Hom.depends_abstract lts ~min_action ~max_action
 
 module Structural = Fsa_struct.Structural
 module Sym = Fsa_sym.Sym
@@ -450,8 +441,7 @@ let unfolded ?(max_states = 1_000_000) pl apa =
   in
   (Lts.of_graph ~name:(Apa.name apa) ~states edges, reps, rep_transitions)
 
-let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?flow ?reduce ?progress
-    ~stakeholder apa =
+let tool ?(max_states = 1_000_000) ?flow ?reduce ?progress ~stakeholder apa =
   Span.with_ ~cat:"core" "tool" @@ fun () ->
   let timed f =
     let t0 = Span.now_ns () in
@@ -545,15 +535,11 @@ let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?flow ?reduce ?progress
   let matrix, ph_matrix_ns =
     timed @@ fun () ->
     Span.with_ ~cat:"core" "tool.dependence_matrix" @@ fun () ->
-    (* One shared engine per module, for both methods: erase once to the
-       module's share of the union alphabet of all surviving pairs,
-       determinise/minimise that image, compose the modules' engines.
-       [Abstract] reads every verdict off it; [Direct] keeps the BFS on
-       the module graph for its verdicts, and its engine serves only the
-       report's per-pair minimal automata.  Pruned pairs contribute
-       nothing to the alphabet: their verdict never touches the
-       automaton. *)
-    let same_module mn mx = md.md_of mn = md.md_of mx in
+    (* One shared engine per module: erase once to the module's share
+       of the union alphabet of all surviving pairs, determinise/minimise
+       that image, compose the modules' engines, and read every verdict
+       off the result.  Pruned pairs contribute nothing to the alphabet:
+       their verdict never touches the automaton. *)
     let surviving_minima =
       List.filter (fun mn -> List.exists (fun mx -> not (pruned mn mx)) maxima) minima
     and surviving_maxima =
@@ -576,16 +562,10 @@ let tool ?(meth = Abstract) ?(max_states = 1_000_000) ?flow ?reduce ?progress
          Some
            (Hom.Shared.compose ~minima:surviving_minima
               ~maxima:surviving_maxima es));
-    let decide =
-      match (meth, !engine) with
-      | Direct, _ ->
-        fun mn mx ->
-          same_module mn mx
-          && Lts.depends_on md.md_graphs.(md.md_of mx) ~max_action:mx
-               ~min_action:mn
-      | Abstract, Some e ->
-        fun mn mx -> Hom.Shared.depends e ~min_action:mn ~max_action:mx
-      | Abstract, None -> fun _ _ -> assert false (* every pair was pruned *)
+    let decide mn mx =
+      match !engine with
+      | Some e -> Hom.Shared.depends e ~min_action:mn ~max_action:mx
+      | None -> assert false (* every pair was pruned *)
     in
     List.map
       (fun mx ->

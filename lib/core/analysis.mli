@@ -30,10 +30,6 @@ val pp_manual_report : manual_report Fmt.t
 
 (** {1 Tool path} *)
 
-type dependence_method =
-  | Direct  (** BFS on the reachability graph *)
-  | Abstract  (** homomorphism + minimal automaton (Sect. 5.5) *)
-
 type pair_timing = {
   pt_min : Action.t;
   pt_max : Action.t;
@@ -44,8 +40,8 @@ type pair_timing = {
           ["static-flow"] (the guard-refined flow graph, [?flow]);
           [None] when tested *)
   pt_compare_ns : int64;
-      (** the dependence test itself: the BFS under [Direct], the
-          verdict off the shared quotient under [Abstract] *)
+      (** the dependence test itself: the verdict off the shared
+          quotient *)
 }
 (** Wall-clock time of one (min, max) dependence test, in matrix
     order. *)
@@ -61,8 +57,7 @@ type shared_timing = {
   sh_early_ns : int64;
 }
 (** One-off cost and shape of the shared abstraction engine's build:
-    the erase/determinise/minimise work every [Abstract] pair shares,
-    and which [Direct] pays for the report's per-pair automata. *)
+    the erase/determinise/minimise work every tested pair shares. *)
 
 type phase_timings = {
   ph_explore_ns : int64;
@@ -72,7 +67,7 @@ type phase_timings = {
   ph_pairs : pair_timing list;
   ph_shared : shared_timing option;
       (** [Some] iff the run built a shared engine: at least one
-          unpruned pair, under either method *)
+          unpruned pair *)
 }
 (** Per-phase durations of one {!tool} run.  Always collected — the
     clock readings are negligible against the phases they measure — so
@@ -107,10 +102,9 @@ type tool_report = {
   t_timings : phase_timings;
   t_reduction : reduction_info option;  (** [Some] iff [?reduce] given *)
   t_engine : Fsa_hom.Hom.Shared.engine option;
-      (** the shared multi-pair engine, built fresh under either
-          method whenever a pair survives pruning — so [Some] whenever
-          [t_requirements <> []].  Under [Abstract] it answered the
-          dependence queries; under either method downstream layers
+      (** the shared multi-pair engine, built fresh whenever a pair
+          survives pruning — so [Some] whenever [t_requirements <> []].
+          It answered the dependence queries, and downstream layers
           project per-pair minimal automata from it without touching
           [t_lts] *)
 }
@@ -118,16 +112,6 @@ type tool_report = {
 val matrix_pairs : tool_report -> (Action.t * Action.t * bool) list
 (** The dependence matrix flattened to [(min, max, dependent)] triples,
     in matrix (row-major) order. *)
-
-val dependence :
-  meth:dependence_method ->
-  Lts.t ->
-  min_action:Action.t ->
-  max_action:Action.t ->
-  bool
-(** One pair, tested on its own: {!Lts.depends_on} under [Direct],
-    {!Fsa_hom.Hom.depends_abstract} under [Abstract].  The per-pair
-    oracle {!tool}'s matrix must agree with. *)
 
 val quotient :
   ?max_states:int ->
@@ -164,7 +148,6 @@ val unfolded :
     @raise Lts.State_space_too_large beyond the representative budget. *)
 
 val tool :
-  ?meth:dependence_method ->
   ?max_states:int ->
   ?flow:Fsa_flow.Flow.t ->
   ?reduce:Fsa_sym.Sym.plan ->
@@ -188,20 +171,19 @@ val tool :
     (DESIGN.md §14).  [max_states] bounds the product of the module
     sizes.  An APA of one module is explored whole, as before.
 
-    [meth] (default [Abstract]) picks the dependence test.  [Abstract]
-    answers all surviving (min, max) pairs from one shared abstraction
-    ({!Fsa_hom.Hom.Shared}): erase once to the union alphabet of their
-    actions, determinise/minimise that shared image, then decide each
-    pair on the shared automaton (and, on-the-fly, during the single
-    pass over the graph where the independent verdict is already
-    witnessed).  Verdicts and per-pair minimal automata equal the
-    per-pair oracle {!dependence} — [preserve {min, max}] factors
-    through [preserve union] and minimal DFAs are unique up to
-    isomorphism.  Each module gets its own engine; several are
-    {!Fsa_hom.Hom.Shared.compose}d into [t_engine].  The engine is
-    built fresh on every run; nothing is persisted.  [Direct] runs
-    {!Lts.depends_on} per pair on the pair's module graph, and builds
-    the same engine for the report's per-pair minimal automata only.
+    Every surviving (min, max) pair is decided by abstraction
+    (Sect. 5.5), from one shared engine ({!Fsa_hom.Hom.Shared}): erase
+    once to the union alphabet of the pairs' actions, determinise/minimise
+    that shared image, then decide each pair on the shared automaton
+    (and, on-the-fly, during the single pass over the graph where the
+    independent verdict is already witnessed).  Verdicts and per-pair
+    minimal automata equal the per-pair oracles
+    {!Fsa_hom.Hom.depends_abstract} and {!Lts.depends_on} —
+    [preserve {min, max}] factors through [preserve union] and minimal
+    DFAs are unique up to isomorphism.  Each module gets its own
+    engine; several are {!Fsa_hom.Hom.Shared.compose}d into
+    [t_engine].  The engine is built fresh on every run; nothing is
+    persisted.
 
     [flow] supplies a {!Fsa_flow.Flow} graph of the same model and
     skips every pair that graph proves flow-independent

@@ -80,21 +80,21 @@ let compile ?(name = "model_apa") sos =
    APA.  The stakeholder assignment is shared with the manual path, so
    the requirement sets are directly comparable (and provably equal: the
    generated behaviour realises exactly the model's dependency order). *)
-let tool_analysis ?meth ?max_states
+let tool_analysis ?max_states
     ?(stakeholder = Fsa_requirements.Derive.default_stakeholder) sos =
-  Analysis.tool ?meth ?max_states ~stakeholder
+  Analysis.tool ?max_states ~stakeholder
     (compile ~name:(Sos.name sos) sos)
 
 (* Cross-validate the two paths on the same model; labels are identical,
    so the correspondence map is the identity. *)
-let crosscheck ?meth ?max_states ?stakeholder sos =
+let crosscheck ?max_states ?stakeholder sos =
   let manual =
     Analysis.manual
       ?stakeholder:
         (match stakeholder with Some s -> Some s | None -> None)
       sos
   in
-  let tool = tool_analysis ?meth ?max_states ?stakeholder sos in
+  let tool = tool_analysis ?max_states ?stakeholder sos in
   Analysis.crosscheck
     ~map:(fun a -> Some a)
     ~manual_requirements:manual.Analysis.m_requirements

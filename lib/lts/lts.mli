@@ -129,7 +129,7 @@ val reachable_without :
     [avoid]-labelled transition? *)
 
 val depends_on : t -> max_action:Action.t -> min_action:Action.t -> bool
-(** Direct functional dependence test: [max_action] depends on
+(** The direct (BFS) functional dependence test: [max_action] depends on
     [min_action] iff every path to an occurrence of [max_action] contains
     a prior occurrence of [min_action]. *)
 

@@ -124,9 +124,12 @@ type coverage = {
 
 type settings = {
   sg_path : string;  (** ["tool"] or ["manual"] *)
-  sg_method : string;  (** ["abstract"], ["direct"] or ["manual"] *)
+  sg_method : string;
+      (** ["abstract"] on the tool path (its one dependence method),
+          ["manual"] on the manual path *)
   sg_engine : string;
-      (** ["shared-v1"] (abstract method), ["direct"] or ["manual"] *)
+      (** ["shared-v1"] on the tool path (the shared engine's version
+          stamp), ["manual"] on the manual path *)
   sg_reduce : string;  (** ["none"], ["sym"], ["por"] or ["sym+por"] *)
   sg_prune : string;
       (** ["none"] or ["flow"] — whether the flow pruner ([--prune-flow])

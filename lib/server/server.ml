@@ -121,31 +121,17 @@ module Exec = struct
     oc_cached : bool;
   }
 
-  let meth_to_string = function
-    | Analysis.Direct -> "direct"
-    | Analysis.Abstract -> "abstract"
-
-  let meth_of_string s =
-    List.find_opt
-      (fun m -> meth_to_string m = s)
-      [ Analysis.Direct; Analysis.Abstract ]
-
-  (* Version stamp of the shared abstraction engine.  Part of every
-     abstract-method requirements and report key, so entries written by
-     a different engine generation can never replay as this one's
-     results. *)
+  (* The one dependence method and the version stamp of its shared
+     engine.  Both are constant params of every requirements and report
+     key — so entries written by a different engine generation can
+     never replay as this one's results — and the report settings carry
+     them. *)
+  let abstraction_method = "abstract"
   let abstraction_engine = "shared-v1"
-
-  (* Which engine answers dependence queries — part of the
-     requirements/report outcome keys and of the report settings. *)
-  let engine_string = function
-    | Analysis.Direct -> "direct"
-    | Analysis.Abstract -> abstraction_engine
 
   (* ---- analysis parameters -------------------------------------- *)
 
   type params = {
-    meth : Analysis.dependence_method;
     max_states : int;
     flow : bool;
     reduce : Sym.kind option;
@@ -154,15 +140,14 @@ module Exec = struct
   }
 
   let defaults =
-    { meth = Analysis.Abstract; max_states = 1_000_000; flow = false;
-      reduce = None; sos = None; keep = None }
+    { max_states = 1_000_000; flow = false; reduce = None; sos = None;
+      keep = None }
 
-  type field = Meth | Max_states | Flow | Reduce | Sos | Keep
+  type field = Max_states | Flow | Reduce | Sos | Keep
 
   (* The one spelling of each option: it is both the request member and
      the cache-key param. *)
   let field_name = function
-    | Meth -> "method"
     | Max_states -> "max_states"
     | Flow -> "flow"
     | Reduce -> "reduce"
@@ -174,8 +159,8 @@ module Exec = struct
      another's. *)
   let fields = function
     | Reach | Verify -> [ Max_states; Reduce ]
-    | Requirements -> [ Meth; Max_states; Flow; Reduce ]
-    | Report -> [ Meth; Max_states; Flow; Reduce; Sos ]
+    | Requirements -> [ Max_states; Flow; Reduce ]
+    | Report -> [ Max_states; Flow; Reduce; Sos ]
     | Analyze -> [ Sos ]
     | Abstract -> [ Max_states; Keep ]
     | Check -> []
@@ -183,13 +168,10 @@ module Exec = struct
   (* A field's cache-key params.  [reduce] keys because reduced runs
      report quotient statistics; [flow] because flow-pruned outcomes
      attribute pairs ("pruned_by", settings, coverage) that unpruned
-     entries — including any written before the member existed — lack;
-     ["engine"] rides with [method] because the timing sections of
-     another engine generation differ even though verdicts agree. *)
+     entries — including any written before the member existed — lack. *)
   let field_key p f =
     let k = field_name f in
     match f with
-    | Meth -> [ (k, meth_to_string p.meth); ("engine", engine_string p.meth) ]
     | Max_states -> [ (k, string_of_int p.max_states) ]
     | Flow -> [ (k, if p.flow then "static-flow" else "none") ]
     | Reduce ->
@@ -197,12 +179,20 @@ module Exec = struct
     | Sos -> Option.to_list (Option.map (fun s -> (k, s)) p.sos)
     | Keep -> [ (k, String.concat "," (Option.value p.keep ~default:[])) ]
 
-  let key_params op p = List.concat_map (field_key p) (fields op)
+  (* Requirements and report outcomes also key on the engine: the
+     timing sections of another engine generation differ even though
+     verdicts agree. *)
+  let key_params op p =
+    (match op with
+    | Requirements | Report ->
+      [ ("method", abstraction_method); ("engine", abstraction_engine) ]
+    | Reach | Analyze | Abstract | Verify | Check -> [])
+    @ List.concat_map (field_key p) (fields op)
 
   let report_settings p =
     { Report.sg_path = "tool";
-      sg_method = meth_to_string p.meth;
-      sg_engine = engine_string p.meth;
+      sg_method = abstraction_method;
+      sg_engine = abstraction_engine;
       sg_reduce =
         (match p.reduce with None -> "none" | Some k -> Sym.kind_to_string k);
       sg_prune = (if p.flow then "flow" else "none");
@@ -231,10 +221,16 @@ module Exec = struct
           | None -> bad "unknown %s %S (%s)" (field_name f) s choices)
         (str f)
     in
-    { meth =
-        Option.value (parse Meth meth_of_string "direct|abstract")
-          ~default:defaults.meth;
-      max_states =
+    (* any other method is refused, not ignored: its client must learn
+       that it is not what ran *)
+    (match req_str req "method" with
+    | None -> ()
+    | Some m when String.equal m abstraction_method -> ()
+    | Some m ->
+      bad "method %S was removed: every pair is decided by abstraction \
+           (omit \"method\" or send \"%s\")"
+        m abstraction_method);
+    { max_states =
         (match member Json.to_int "an integer" Max_states with
         | Some n when n > 0 -> min n bound
         | Some _ -> bad "%S must be positive" (field_name Max_states)
@@ -265,28 +261,30 @@ module Exec = struct
     try Elaborate.apa_of_spec spec
     with Invalid_argument msg -> raise (Usage_error msg)
 
-  let actions_json set =
-    Json.List
-      (List.map
-         (fun a -> Json.Str (Action.to_string a))
-         (Action.Set.elements set))
+  let actions_json actions =
+    Json.List (List.map (fun a -> Json.Str (Action.to_string a)) actions)
 
-  let summary_of_lts lts =
-    let { Lts.nb_states; nb_transitions; nb_deadlocks; nb_labels } =
-      Lts.stats lts
+  (* Graph statistics, minima and maxima, plus the dead states' ids when
+     given. *)
+  let summary_json ?dead_states (s : Lts.stats) ~minima ~maxima =
+    let ids =
+      Option.to_list
+        (Option.map
+           (fun ids -> ("states", Json.List (List.map (fun i -> Json.Int i) ids)))
+           dead_states)
     in
     Json.Obj
-      [ ("states", Json.Int nb_states);
-        ("transitions", Json.Int nb_transitions);
-        ("labels", Json.Int nb_labels);
-        ( "deadlocks",
-          Json.Obj
-            [ ("count", Json.Int nb_deadlocks);
-              ( "states",
-                Json.List (List.map (fun i -> Json.Int i) (Lts.deadlocks lts))
-              ) ] );
-        ("minima", actions_json (Lts.minima lts));
-        ("maxima", actions_json (Lts.maxima lts)) ]
+      [ ("states", Json.Int s.Lts.nb_states);
+        ("transitions", Json.Int s.Lts.nb_transitions);
+        ("labels", Json.Int s.Lts.nb_labels);
+        ("deadlocks", Json.Obj (("count", Json.Int s.Lts.nb_deadlocks) :: ids));
+        ("minima", actions_json minima);
+        ("maxima", actions_json maxima) ]
+
+  let summary_of_lts lts =
+    summary_json ~dead_states:(Lts.deadlocks lts) (Lts.stats lts)
+      ~minima:(Action.Set.elements (Lts.minima lts))
+      ~maxima:(Action.Set.elements (Lts.maxima lts))
 
   let requirements_json reqs =
     Json.List
@@ -451,7 +449,7 @@ module Exec = struct
              apa)
     in
     let tr =
-      Analysis.tool ~meth:p.meth ~max_states:p.max_states ?flow:flow_graph
+      Analysis.tool ~max_states:p.max_states ?flow:flow_graph
         ?reduce:(reduce_plan p spec apa)
         ?progress ~stakeholder:cfg.sv_stakeholder apa
     in
@@ -475,7 +473,13 @@ module Exec = struct
     in
     let result =
       Json.Obj
-        ([ ("summary", summary_of_lts report.Analysis.t_lts);
+        ([ ( "summary",
+             (* what the analysis composed, without product state ids:
+                listing them would explore the product of a decomposed
+                spec *)
+             summary_json report.Analysis.t_stats
+               ~minima:report.Analysis.t_minima
+               ~maxima:report.Analysis.t_maxima );
            ("requirements", requirements_json report.Analysis.t_requirements);
            ("timings", timings_json report.Analysis.t_timings);
            ("report", Report.to_json rpt) ]
@@ -751,11 +755,10 @@ module Exec = struct
             e_exit = o.oc_exit };
         o)
 
-  let run cfg ~op ?(meth = defaults.meth) ?(max_states = defaults.max_states)
-      ?(flow = defaults.flow) ?sos ?keep ?reduce ?progress ?deadline_ns ?cache
-      ~file spec =
+  let run cfg ~op ?(max_states = defaults.max_states) ?(flow = defaults.flow)
+      ?sos ?keep ?reduce ?progress ?deadline_ns ?cache ~file spec =
     exec cfg ~op ?progress ?deadline_ns ?cache ~file
-      { meth; max_states; flow; reduce; sos; keep }
+      { max_states; flow; reduce; sos; keep }
       spec
 end
 

@@ -13,7 +13,7 @@
 
     {v
     {"id": .., "op": "reach", "source": "..", "max_states": 10000}
-    {"id": .., "op": "requirements", "spec": "path.fsa", "method": "direct"}
+    {"id": .., "op": "requirements", "spec": "path.fsa", "flow": true}
     v}
 
     [op] is one of {!Exec.all_ops} — [reach], [requirements],
@@ -21,18 +21,21 @@
     protocol-level [stats] (below); the model comes either inline
     ([source]) or from a file ([spec]).  Optional members: the
     {!Exec.params} fields, decoded by {!Exec.params_of_json} —
-    [max_states] (integer, clamped to the server's bound), [method]
-    ([direct]|[abstract]), [flow] (boolean: skip dependence tests for
-    pairs the static information-flow analysis proves independent —
-    never changes the verdicts), [reduce] ([sym]|[por]|[sym+por]), [sos]
-    (string) and [keep] (list of action names or a comma-separated
-    string), each honoured by the ops {!Exec.fields} names — plus
+    [max_states] (integer, clamped to the server's bound), [flow]
+    (boolean: skip dependence tests for pairs the static
+    information-flow analysis proves independent — never changes the
+    verdicts), [reduce] ([sym]|[por]|[sym+por]), [sos] (string) and
+    [keep] (list of action names or a comma-separated string), each
+    honoured by the ops {!Exec.fields} names — plus
     [timeout_ms] (integer, clamped to the server's budget), [cache]
     (boolean; [false] bypasses the store for one request) and
     [trace_id] (string, a client-chosen identifier for the request's
     trace; one is generated when absent).  An absent member takes its
     default; a present member of the wrong JSON type is answered with a
-    [bad_request] error naming it.
+    [bad_request] error naming it.  The former [method] member is still
+    read: ["abstract"], the one method, is accepted and changes nothing;
+    any other value (["direct"] among them) is a [bad_request] saying
+    that the method was removed.
 
     Each response is a single line, in request order, echoing the
     request's trace id:
@@ -127,9 +130,6 @@ module Exec : sig
   val op_of_string : string -> op option
   val op_to_string : op -> string
 
-  val meth_of_string : string -> Fsa_core.Analysis.dependence_method option
-  val meth_to_string : Fsa_core.Analysis.dependence_method -> string
-
   type outcome = {
     oc_result : Json.t;  (** structured result (summary, requirements, ...) *)
     oc_output : string;  (** rendered human report, byte-identical replay *)
@@ -138,7 +138,6 @@ module Exec : sig
   }
 
   type params = {
-    meth : Fsa_core.Analysis.dependence_method;
     max_states : int;
     flow : bool;
     reduce : Fsa_sym.Sym.kind option;
@@ -149,27 +148,29 @@ module Exec : sig
       of {!handle_line} and the labels of {!run} all build this record. *)
 
   val defaults : params
-  (** Abstract method, 1_000_000 states, nothing else set. *)
+  (** 1_000_000 states, nothing else set. *)
 
-  type field = Meth | Max_states | Flow | Reduce | Sos | Keep
+  type field = Max_states | Flow | Reduce | Sos | Keep
 
   val fields : op -> field list
   (** The fields an op honours; it ignores the others. *)
 
   val key_params : op -> params -> (string * string) list
-  (** The cache-key params of an op's outcome, derived from its
-      {!fields} only.  [method] adds an ["engine"] param (the shared
-      engine's version, or ["direct"]), so entries of another engine
-      generation never replay; [reduce] and [sos] appear only when
-      set. *)
+  (** The cache-key params of an op's outcome: those of its {!fields},
+      plus, for requirements and report, the constants
+      [("method", "abstract")] and [("engine", "shared-v1")] (the
+      shared engine's version), so entries of another engine generation
+      never replay; [reduce] and [sos] appear only when set. *)
 
   val params_of_json : bound:int -> Json.t -> params
-  (** Decode the request members ["method"], ["max_states"], ["flow"],
-      ["reduce"], ["sos"] and ["keep"], whatever the op.  An absent
-      member takes its {!defaults} value, except [max_states], which
-      defaults to [bound] and is clamped to it.
-      @raise Usage_error naming a mistyped member, or on an unknown
-      method or reduction or a non-positive [max_states]. *)
+  (** Decode the request members ["max_states"], ["flow"], ["reduce"],
+      ["sos"] and ["keep"], whatever the op.  An absent member takes its
+      {!defaults} value, except [max_states], which defaults to [bound]
+      and is clamped to it.  A ["method"] member must be ["abstract"] (a
+      no-op) if present.
+      @raise Usage_error naming a mistyped member, on a removed method
+      (any ["method"] but ["abstract"]), an unknown reduction or a
+      non-positive [max_states]. *)
 
   val exec :
     config ->
@@ -196,10 +197,16 @@ module Exec : sig
       [sym], [por] to none): the POR-reduced graph is unsound for
       arbitrary properties, and the symmetry path model-checks the
       exact unfolded graph.
-      Under [meth = Abstract] the dependence pairs are answered by the
-      shared multi-pair abstraction engine ({!Fsa_core.Analysis.tool}),
-      built fresh on every computed run: the outcome entry is the only
-      thing the store holds, and a miss recomputes the whole analysis.
+      The dependence pairs are answered by the shared multi-pair
+      abstraction engine ({!Fsa_core.Analysis.tool}), built fresh on
+      every computed run: the outcome entry is the only thing the store
+      holds, and a miss recomputes the whole analysis.
+      A [Requirements] outcome's ["summary"] (states, transitions,
+      labels, [deadlocks.count], minima, maxima) is built from the
+      analysis's composed statistics, minima and maxima, so it never
+      explores the product graph of a decomposed spec; unlike [Reach]'s
+      summary it lists no dead-state ids ([deadlocks.states]), which only
+      the product has.
       [Report] renders the {!Fsa_report.Report} view: the tool path
       when the spec elaborates instances (or the manual path for an
       explicitly named [sos]), otherwise the manual path over every
@@ -218,7 +225,6 @@ module Exec : sig
   val run :
     config ->
     op:op ->
-    ?meth:Fsa_core.Analysis.dependence_method ->
     ?max_states:int ->
     ?flow:bool ->
     ?sos:string ->

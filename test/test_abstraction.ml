@@ -1,6 +1,6 @@
 (* Tests for the dependence engine: the tool path's matrix and
-   requirement set against the per-pair oracle across every bundled
-   example spec (x --reduce kind x method), the on-the-fly
+   requirement set against both per-pair oracles across every bundled
+   example spec (x --reduce kind), the on-the-fly
    early-decision pass, projected minimal automata, the report's reuse
    of the analysis engine, and the engine-versioned store keys at the
    server level (pre-engine entries must never replay as shared-pass
@@ -25,30 +25,26 @@ module V = Fsa_vanet.Vehicle_apa
 (* Equivalence with the per-pair oracle                                *)
 (* ------------------------------------------------------------------ *)
 
-let meth_name = function
-  | Analysis.Direct -> "direct"
-  | Analysis.Abstract -> "abstract"
-
 let pair_strings pairs =
   List.sort compare
     (List.map
        (fun (mn, mx, d) -> (Action.to_string mn, Action.to_string mx, d))
        pairs)
 
+(* The per-pair oracles: abstraction to the pair alone, and the BFS. *)
+let oracles =
+  [ ("abstract", fun lts mn mx -> Hom.depends_abstract lts ~min_action:mn ~max_action:mx);
+    ("direct", fun lts mn mx -> Lts.depends_on lts ~max_action:mx ~min_action:mn) ]
+
 (* The ground truth: every (min, max) pair of the unreduced graph, each
-   tested on its own by {!Analysis.dependence} ([Hom.depends_abstract]
-   or [Lts.depends_on]), and the requirements those verdicts give. *)
-let oracle ~meth ~stakeholder lts =
+   tested on its own by [depends], and the requirements those verdicts
+   give. *)
+let oracle depends ~stakeholder lts =
   let set f = Action.Set.elements (f lts) in
   let pairs =
     List.concat_map
       (fun mx ->
-        List.map
-          (fun mn ->
-            ( mn,
-              mx,
-              Analysis.dependence ~meth lts ~min_action:mn ~max_action:mx ))
-          (set Lts.minima))
+        List.map (fun mn -> (mn, mx, depends lts mn mx)) (set Lts.minima))
       (set Lts.maxima)
   in
   let requirements =
@@ -62,23 +58,25 @@ let oracle ~meth ~stakeholder lts =
   in
   (pair_strings pairs, requirements)
 
-(* One oracle per (model, method), computed on the unreduced graph: the
+(* Each oracle is computed once per model, on the unreduced graph: the
    reductions must not change the matrix, so every run of the tool path
-   compares against the same reference, pruned pairs included. *)
+   compares against the same references, pruned pairs included. *)
 let check_matches_oracle name ?guard_sig ?flow apa =
   let stakeholder = V.stakeholder in
   let lts = Lts.explore ~max_states:1_000_000 apa in
+  let references =
+    List.map (fun (oname, depends) -> (oname, oracle depends ~stakeholder lts)) oracles
+  in
   List.iter
-    (fun meth ->
-      let pairs, requirements = oracle ~meth ~stakeholder lts in
+    (fun kind ->
+      let reduce = Option.map (fun k -> Sym.plan ?guard_sig k apa) kind in
+      let r = Analysis.tool ?flow ?reduce ~stakeholder apa in
       List.iter
-        (fun kind ->
-          let reduce = Option.map (fun k -> Sym.plan ?guard_sig k apa) kind in
-          let r = Analysis.tool ~meth ?flow ?reduce ~stakeholder apa in
+        (fun (oname, (pairs, requirements)) ->
           let label =
-            Printf.sprintf "%s/%s/--reduce %s/flow %b" name (meth_name meth)
+            Printf.sprintf "%s/--reduce %s/flow %b/%s" name
               (match kind with None -> "none" | Some k -> Sym.kind_to_string k)
-              (flow <> None)
+              (flow <> None) oname
           in
           Alcotest.(check (list (triple string string bool)))
             (label ^ ": matrix = per-pair oracle")
@@ -88,8 +86,8 @@ let check_matches_oracle name ?guard_sig ?flow apa =
             (label ^ ": requirements = per-pair oracle")
             true
             (Auth.equal_set requirements r.Analysis.t_requirements))
-        [ None; Some Sym.Sym; Some Sym.Sym_por ])
-    [ Analysis.Abstract; Analysis.Direct ]
+        references)
+    [ None; Some Sym.Sym; Some Sym.Sym_por ]
 
 let test_shared_identical_vanet () =
   check_matches_oracle "two-vehicles" ~guard_sig:V.guard_attest
@@ -124,8 +122,7 @@ let test_shared_identical_specs () =
       check_matches_oracle name ~guard_sig apa)
 
 (* The shared engine must actually answer the pairs: its timing section
-   is present and covers every minimum and maximum.  The direct method
-   builds the same engine, for the report's per-pair automata. *)
+   is present and covers every minimum and maximum. *)
 let test_shared_timing_section () =
   let r = Analysis.tool ~stakeholder:V.stakeholder (V.four_vehicles ()) in
   match r.Analysis.t_timings.Analysis.ph_shared with
@@ -135,32 +132,23 @@ let test_shared_timing_section () =
     Alcotest.(check bool)
       "alphabet covers minima and maxima" true
       (s.Analysis.sh_alphabet_size
-      = List.length r.Analysis.t_minima + List.length r.Analysis.t_maxima);
-    let shape (s : Analysis.shared_timing) =
-      (s.Analysis.sh_alphabet_size, s.Analysis.sh_dfa_states, s.Analysis.sh_early_pairs)
-    in
-    let d =
-      Analysis.tool ~meth:Analysis.Direct ~stakeholder:V.stakeholder
-        (V.four_vehicles ())
-    in
-    Alcotest.(check (option (triple int int int)))
-      "direct builds the abstract method's engine" (Some (shape s))
-      (Option.map shape d.Analysis.t_timings.Analysis.ph_shared)
+      = List.length r.Analysis.t_minima + List.length r.Analysis.t_maxima)
 
-(* A direct report on a decomposed spec (four_vehicles: two modules)
-   reads its per-item automata off the analysis engine: the product
-   graph is never explored. *)
-let test_direct_report_leaves_product_unexplored () =
+(* A report on a decomposed spec (four_vehicles: two modules) reads its
+   per-item automata off the analysis engine, and a requirements
+   outcome builds its summary from the composed counts: neither
+   explores the product graph. *)
+let test_product_unexplored () =
   let module R = Fsa_report.Report in
   let apa = V.four_vehicles () in
-  let r = Analysis.tool ~meth:Analysis.Direct ~stakeholder:V.stakeholder apa in
+  let r = Analysis.tool ~stakeholder:V.stakeholder apa in
   Alcotest.(check bool) "has requirements" true (r.Analysis.t_requirements <> []);
   let rpt =
     R.of_tool ~alphabet:(Apa.rule_names apa) ~digest:"four_vehicles"
       ~settings:
         { R.sg_path = "tool";
-          sg_method = "direct";
-          sg_engine = "direct";
+          sg_method = "abstract";
+          sg_engine = "shared-v1";
           sg_reduce = "none";
           sg_prune = "none";
           sg_max_states = 1_000_000 }
@@ -177,7 +165,28 @@ let test_direct_report_leaves_product_unexplored () =
          { r with Analysis.t_engine = None }
      with
     | _ -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true);
+  let module Metrics = Fsa_obs.Metrics in
+  match Test_check.spec_dir () with
+  | None -> ()
+  | Some dir ->
+    let spec = Parser.parse_file (Filename.concat dir "four_vehicles.fsa") in
+    let cfg = Server.config ~stakeholder:V.stakeholder () in
+    List.iter
+      (fun op ->
+        Metrics.reset ();
+        Metrics.set_enabled true;
+        Fun.protect
+          ~finally:(fun () ->
+            Metrics.set_enabled false;
+            Metrics.reset ())
+        @@ fun () ->
+        ignore (Exec.run cfg ~op ~cache:false ~file:"four_vehicles.fsa" spec);
+        Alcotest.(check int)
+          (Exec.op_to_string op ^ ": 2 x 13 module states explored, no product")
+          26
+          (List.assoc "lts.states_explored" (Metrics.counters ())))
+      [ Exec.Report; Exec.Requirements ]
 
 (* ------------------------------------------------------------------ *)
 (* The engine itself: verdicts, projection, early decisions            *)
@@ -198,10 +207,7 @@ let test_engine_verdicts_match_per_pair () =
     (fun mn ->
       List.iter
         (fun mx ->
-          let expected =
-            Analysis.dependence ~meth:Analysis.Abstract lts ~min_action:mn
-              ~max_action:mx
-          in
+          let expected = Hom.depends_abstract lts ~min_action:mn ~max_action:mx in
           Alcotest.(check bool)
             (Fmt.str "verdict (%a, %a)" Action.pp mn Action.pp mx)
             expected
@@ -282,7 +288,28 @@ let test_engine_rejects_foreign_pair () =
          ~max_action:(List.hd r.Analysis.t_maxima)
      with
     | _ -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true);
+  let module Metrics = Fsa_obs.Metrics in
+  match Test_check.spec_dir () with
+  | None -> ()
+  | Some dir ->
+    let spec = Parser.parse_file (Filename.concat dir "four_vehicles.fsa") in
+    let cfg = Server.config ~stakeholder:V.stakeholder () in
+    List.iter
+      (fun op ->
+        Metrics.reset ();
+        Metrics.set_enabled true;
+        Fun.protect
+          ~finally:(fun () ->
+            Metrics.set_enabled false;
+            Metrics.reset ())
+        @@ fun () ->
+        ignore (Exec.run cfg ~op ~cache:false ~file:"four_vehicles.fsa" spec);
+        Alcotest.(check int)
+          (Exec.op_to_string op ^ ": 2 x 13 module states explored, no product")
+          26
+          (List.assoc "lts.states_explored" (Metrics.counters ())))
+      [ Exec.Report; Exec.Requirements ]
 
 (* ------------------------------------------------------------------ *)
 (* Store integration (server level)                                    *)
@@ -297,8 +324,7 @@ let with_store f () =
     (fun () -> f (Store.open_ ~dir ()))
 
 (* The default keys are pinned — stores written by earlier releases keep
-   hitting — and direct-method outcomes live under their own ["engine"]
-   param, so the two methods never replay for each other. *)
+   hitting. *)
 let test_engine_cache_keys =
   with_store (fun st ->
       let cfg = Server.config ~store:st () in
@@ -323,14 +349,7 @@ let test_engine_cache_keys =
           Alcotest.(check bool) (kind ^ ": default key hits") true
             o.Exec.oc_cached;
           Alcotest.(check string) (kind ^ ": pinned entry replays")
-            "pinned entry" o.Exec.oc_output;
-          let d1 = Exec.run cfg ~op ~meth:Analysis.Direct ~file:"a.fsa" spec in
-          Alcotest.(check bool)
-            (kind ^ ": abstract entry does not serve direct")
-            false d1.Exec.oc_cached;
-          let d2 = Exec.run cfg ~op ~meth:Analysis.Direct ~file:"a.fsa" spec in
-          Alcotest.(check bool) (kind ^ ": direct outcome replays") true
-            d2.Exec.oc_cached)
+            "pinned entry" o.Exec.oc_output)
         [ Exec.Requirements; Exec.Report ])
 
 (* An entry written under the pre-engine key format (no ["engine"]
@@ -363,8 +382,8 @@ let suite =
       test_shared_identical_specs;
     Alcotest.test_case "shared timing section" `Quick
       test_shared_timing_section;
-    Alcotest.test_case "direct report leaves the product unexplored" `Quick
-      test_direct_report_leaves_product_unexplored;
+    Alcotest.test_case "ops leave the product unexplored" `Quick
+      test_product_unexplored;
     Alcotest.test_case "engine verdicts = per-pair" `Quick
       test_engine_verdicts_match_per_pair;
     Alcotest.test_case "projected minimal automata" `Quick

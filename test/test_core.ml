@@ -5,6 +5,7 @@ module Action = Fsa_term.Action
 module Agent = Fsa_term.Agent
 module Auth = Fsa_requirements.Auth
 module Analysis = Fsa_core.Analysis
+module Lts = Fsa_lts.Lts
 module S = Fsa_vanet.Scenario
 module V = Fsa_vanet.Vehicle_apa
 
@@ -44,20 +45,21 @@ let test_tool_report_four_vehicles () =
     (fun (_, row) -> Alcotest.(check int) "6 minima columns" 6 (List.length row))
     r.Analysis.t_matrix
 
+(* The tool path decides every pair by abstraction; the direct BFS on
+   the whole graph must give each pair the same verdict. *)
 let test_methods_agree () =
   List.iter
     (fun apa ->
-      let direct =
-        Analysis.tool ~meth:Analysis.Direct ~stakeholder:V.stakeholder apa
-      in
-      let abstract =
-        Analysis.tool ~meth:Analysis.Abstract ~stakeholder:V.stakeholder apa
-      in
-      Alcotest.(check bool)
-        (Fsa_apa.Apa.name apa ^ ": direct = abstract")
-        true
-        (Auth.equal_set direct.Analysis.t_requirements
-           abstract.Analysis.t_requirements))
+      let r = Analysis.tool ~stakeholder:V.stakeholder apa in
+      let lts = Lts.explore apa in
+      List.iter
+        (fun (mn, mx, dep) ->
+          Alcotest.(check bool)
+            (Fmt.str "%s: direct = abstract (%a, %a)" (Fsa_apa.Apa.name apa)
+               Action.pp mn Action.pp mx)
+            (Lts.depends_on lts ~max_action:mx ~min_action:mn)
+            dep)
+        (Analysis.matrix_pairs r))
     [ V.two_vehicles (); V.four_vehicles (); V.chain 3; V.chain 4 ]
 
 let test_crosscheck_agreement () =
@@ -136,7 +138,6 @@ let test_reports_render () =
 (* ------------------------------------------------------------------ *)
 
 module Apa = Fsa_apa.Apa
-module Lts = Fsa_lts.Lts
 module Term = Fsa_term.Term
 module Metrics = Fsa_obs.Metrics
 module Exec = Fsa_server.Server.Exec

@@ -168,8 +168,8 @@ let test_pp_class_unattributed () =
     (contains s "policy-induced (availability): p1" && contains s "p2")
 
 (* Build a tool-path report the way the server does, parameterised by
-   dependence method and reduction. *)
-let build_report ?reduce ?(meth = Analysis.Abstract) spec =
+   reduction. *)
+let build_report ?reduce spec =
   let apa = Elaborate.apa_of_spec spec in
   let sigs = Elaborate.guard_signatures spec in
   let plan =
@@ -178,7 +178,7 @@ let build_report ?reduce ?(meth = Analysis.Abstract) spec =
       reduce
   in
   let tr =
-    Analysis.tool ?reduce:plan ~meth
+    Analysis.tool ?reduce:plan
       ~stakeholder:Fsa_vanet.Vehicle_apa.stakeholder apa
   in
   let rpt =
@@ -189,14 +189,8 @@ let build_report ?reduce ?(meth = Analysis.Abstract) spec =
       ~digest:(Elaborate.digest_of_spec ~parts:[ `Apa; `Models ] spec)
       ~settings:
         { R.sg_path = "tool";
-          sg_method =
-            (match meth with
-            | Analysis.Abstract -> "abstract"
-            | Analysis.Direct -> "direct");
-          sg_engine =
-            (match meth with
-            | Analysis.Abstract -> "shared-v1"
-            | Analysis.Direct -> "direct");
+          sg_method = "abstract";
+          sg_engine = "shared-v1";
           sg_reduce =
             (match reduce with
             | None -> "none"
@@ -222,8 +216,8 @@ let example_specs () =
       (Test_check.example_files dir)
 
 (* The report body (ids, digests, classes, scores, ranks, verification
-   tags, endpoints, action traceability) is invariant across the
-   dependence method and every reduction kind: golden byte-for-byte on
+   tags, endpoints, action traceability) is invariant across every
+   reduction kind: golden byte-for-byte on
    both emitters.  Settings/pair-statistics blocks legitimately differ,
    which is exactly what [~body_only] excludes. *)
 let test_golden_across_configs () =
@@ -235,16 +229,10 @@ let test_golden_across_configs () =
       let base_json = R.to_json_string ~body_only:true base in
       let base_md = R.to_markdown ~body_only:true base in
       List.iter
-        (fun (reduce, meth) ->
-          let _, rpt = build_report ?reduce ~meth spec in
+        (fun reduce ->
+          let _, rpt = build_report ~reduce spec in
           let label =
-            Printf.sprintf "%s/--reduce %s/%s" name
-              (match reduce with
-              | None -> "none"
-              | Some k -> Sym.kind_to_string k)
-              (match meth with
-              | Analysis.Abstract -> "abstract"
-              | Analysis.Direct -> "direct")
+            Printf.sprintf "%s/--reduce %s" name (Sym.kind_to_string reduce)
           in
           Alcotest.(check string)
             (label ^ ": JSON body golden") base_json
@@ -257,11 +245,7 @@ let test_golden_across_configs () =
             (label ^ ": ranks are a permutation of 1..n")
             (List.init (List.length ranks) (fun i -> i + 1))
             (List.sort compare ranks))
-        [ (None, Analysis.Direct);
-          (Some Sym.Sym, Analysis.Abstract);
-          (Some Sym.Sym, Analysis.Direct);
-          (Some Sym.Sym_por, Analysis.Abstract);
-          (Some Sym.Sym_por, Analysis.Direct) ])
+        [ Sym.Sym; Sym.Por; Sym.Sym_por ])
     specs
 
 (* Two from-scratch runs over the same spec must agree byte-for-byte on

@@ -76,7 +76,7 @@ let test_roundtrips () =
   let r =
     reply
       (source_request ~id:2 ~op:"requirements"
-         [ ("method", Json.Str "direct") ])
+         [ ("method", Json.Str "abstract") ])
   in
   Alcotest.(check bool) "requirements ok" true (is_ok r);
   (match Option.bind (result_member "requirements" r) Json.to_list with
@@ -189,44 +189,36 @@ let test_cached_equals_fresh =
   List.iter
     (fun op ->
       List.iter
-        (fun meth ->
+        (fun flow ->
           List.iter
-            (fun flow ->
-              List.iter
-                (fun reduce ->
-                  let run ~cache =
-                    Exec.run cfg ~op ~meth ~flow ?reduce ~cache ~file:"a.fsa"
-                      spec
-                  in
-                  let label =
-                    Printf.sprintf "%s/%s/flow %b/reduce %s"
-                      (Exec.op_to_string op)
-                      (match meth with
-                      | Fsa_core.Analysis.Direct -> "direct"
-                      | Fsa_core.Analysis.Abstract -> "abstract")
-                      flow
-                      (Option.fold ~none:"none" ~some:Fsa_sym.Sym.kind_to_string
-                         reduce)
-                  in
-                  let first = run ~cache:true in
-                  let replay = run ~cache:true in
-                  let fresh = run ~cache:false in
-                  Alcotest.(check bool) (label ^ ": replay is a hit") true
-                    replay.Exec.oc_cached;
-                  Alcotest.(check string)
-                    (label ^ ": first stored result = fresh")
-                    (Json.to_string (strip fresh.Exec.oc_result))
-                    (Json.to_string (strip first.Exec.oc_result));
-                  Alcotest.(check string)
-                    (label ^ ": cached result = fresh")
-                    (Json.to_string (strip fresh.Exec.oc_result))
-                    (Json.to_string (strip replay.Exec.oc_result));
-                  Alcotest.(check string)
-                    (label ^ ": cached output = fresh") fresh.Exec.oc_output
-                    replay.Exec.oc_output)
-                [ None; Some Fsa_sym.Sym.Sym_por ])
-            [ false; true ])
-        [ Fsa_core.Analysis.Direct; Fsa_core.Analysis.Abstract ])
+            (fun reduce ->
+              let run ~cache =
+                Exec.run cfg ~op ~flow ?reduce ~cache ~file:"a.fsa" spec
+              in
+              let label =
+                Printf.sprintf "%s/flow %b/reduce %s" (Exec.op_to_string op)
+                  flow
+                  (Option.fold ~none:"none" ~some:Fsa_sym.Sym.kind_to_string
+                     reduce)
+              in
+              let first = run ~cache:true in
+              let replay = run ~cache:true in
+              let fresh = run ~cache:false in
+              Alcotest.(check bool) (label ^ ": replay is a hit") true
+                replay.Exec.oc_cached;
+              Alcotest.(check string)
+                (label ^ ": first stored result = fresh")
+                (Json.to_string (strip fresh.Exec.oc_result))
+                (Json.to_string (strip first.Exec.oc_result));
+              Alcotest.(check string)
+                (label ^ ": cached result = fresh")
+                (Json.to_string (strip fresh.Exec.oc_result))
+                (Json.to_string (strip replay.Exec.oc_result));
+              Alcotest.(check string)
+                (label ^ ": cached output = fresh") fresh.Exec.oc_output
+                replay.Exec.oc_output)
+            [ None; Some Fsa_sym.Sym.Sym_por ])
+        [ false; true ])
     [ Exec.Requirements; Exec.Report ]
 
 (* The cache-key table, pinned here independently of [Exec.fields]: the
@@ -235,8 +227,8 @@ let honoured =
   let open Exec in
   function
   | Reach | Verify -> [ Max_states; Reduce ]
-  | Requirements -> [ Meth; Max_states; Flow; Reduce ]
-  | Report -> [ Meth; Max_states; Flow; Reduce; Sos ]
+  | Requirements -> [ Max_states; Flow; Reduce ]
+  | Report -> [ Max_states; Flow; Reduce; Sos ]
   | Analyze -> [ Sos ]
   | Abstract -> [ Max_states; Keep ]
   | Check -> []
@@ -244,7 +236,6 @@ let honoured =
 let perturb p =
   let open Exec in
   function
-  | Meth -> { p with meth = Fsa_core.Analysis.Direct }
   | Max_states -> { p with max_states = 500_000 }
   | Flow -> { p with flow = true }
   | Reduce -> { p with reduce = Some Fsa_sym.Sym.Sym }
@@ -281,8 +272,7 @@ let test_key_params_complete () =
             Alcotest.(check string) (label ^ ": ignored, same outcome") before
               (fresh op changed)
           end)
-        [ ("method", Exec.Meth);
-          ("max_states", Max_states);
+        [ ("max_states", Max_states);
           ("flow", Flow);
           ("reduce", Reduce);
           ("sos", Sos);
@@ -307,9 +297,77 @@ let test_key_params_complete () =
       (Exec.Analyze, []);
       (Exec.Check, []);
       (Exec.Abstract, [ ("keep", ""); ("max_states", "1000000") ]) ];
+  (* the whole default key strings, as written before the method option
+     was removed: stores written by earlier releases keep hitting *)
+  let digest =
+    Fsa_spec.Elaborate.digest_of_spec ~parts:[ `Apa; `Models ] spec
+  in
+  List.iter
+    (fun (op, want) ->
+      Alcotest.(check string)
+        (Exec.op_to_string op ^ ": default key string pinned")
+        want
+        (Store.cache_key ~digest ~kind:(Exec.op_to_string op)
+           ~params:(Exec.key_params op Exec.defaults)))
+    [ (Exec.Requirements, "8f7c27701791c2d5d9f6650a8e1bf328");
+      (Exec.Report, "d18826f8b2865599941835b4dcee4de1") ];
   Alcotest.(check bool) "no members decode to the defaults" true
     (Exec.params_of_json ~bound:Exec.defaults.max_states (Json.Obj [])
     = Exec.defaults)
+
+(* The "method" member: "abstract", the one method, is accepted and is
+   the same request as one without the member — same params, same
+   cache entry, same outcome; "direct" and any other value are refused
+   as removed, never silently ignored. *)
+let test_method_member =
+  with_store_dir @@ fun store ->
+  let cfg = Server.config ~store () in
+  let reply line = parse_response (Server.handle_line cfg line) in
+  let strip r =
+    match Json.member "result" r with
+    | Some (Json.Obj ms) -> Json.to_string (Json.Obj (List.remove_assoc "timings" ms))
+    | _ -> Alcotest.fail "result missing"
+  in
+  let decode members =
+    Exec.params_of_json ~bound:Exec.defaults.max_states (Json.Obj members)
+  in
+  Alcotest.(check bool) "\"abstract\" decodes to the defaults" true
+    (decode [ ("method", Json.Str "abstract") ] = Exec.defaults);
+  List.iteri
+    (fun i op ->
+      let without = reply (source_request ~id:(2 * i) ~op []) in
+      let with_ =
+        reply
+          (source_request ~id:((2 * i) + 1) ~op
+             [ ("method", Json.Str "abstract") ])
+      in
+      Alcotest.(check bool) (op ^ ": without the member, computed") true
+        (is_ok without && Json.member "cached" without = Some (Json.Bool false));
+      Alcotest.(check bool) (op ^ ": \"abstract\" hits the same entry") true
+        (is_ok with_ && Json.member "cached" with_ = Some (Json.Bool true));
+      Alcotest.(check string) (op ^ ": same outcome") (strip without)
+        (strip with_);
+      List.iter
+        (fun m ->
+          let r =
+            reply (source_request ~id:99 ~op [ ("method", Json.Str m) ])
+          in
+          Alcotest.(check (option string)) (op ^ ": method " ^ m ^ " refused")
+            (Some "bad_request") (error_kind r);
+          let message =
+            Option.bind (Json.member "error" r) (fun e ->
+                Option.bind (Json.member "message" e) Json.to_str)
+          in
+          Alcotest.(check bool) (op ^ ": method " ^ m ^ " said removed") true
+            (match message with
+            | Some msg -> Test_report.contains msg "removed"
+            | None -> false))
+        [ "direct"; "bfs" ])
+    [ "requirements"; "report" ];
+  Alcotest.(check bool) "decoding \"direct\" raises" true
+    (match decode [ ("method", Json.Str "direct") ] with
+    | _ -> false
+    | exception Server.Usage_error _ -> true)
 
 (* A state-space overflow reaches the caller as [Too_large] carrying the
    structural growth hint naming the runaway components. *)
@@ -813,6 +871,8 @@ let suite =
       test_cached_equals_fresh;
     Alcotest.test_case "cache key covers honoured fields" `Quick
       test_key_params_complete;
+    Alcotest.test_case "method member: abstract only" `Quick
+      test_method_member;
     Alcotest.test_case "example specs never internal" `Quick
       test_examples_never_internal;
     Alcotest.test_case "check op result" `Quick test_check_op_result;

@@ -222,30 +222,31 @@ let prop_cached_step =
              ids)
 
 (* The modular analysis against the product graph it never builds:
-   graph statistics, minima and maxima, every pair of the matrix (the
-   per-pair oracle [Analysis.dependence] on the product), the
-   requirements, and each requirement's minimal automaton, read off the
-   run's own engine — which both methods must build whenever there are
-   requirements. *)
+   graph statistics, minima and maxima, every pair of the matrix (both
+   per-pair oracles on the product, [Hom.depends_abstract] and
+   [Lts.depends_on]), the requirements, and each requirement's minimal
+   automaton, read off the run's own engine — which the run must build
+   whenever there are requirements. *)
 module Analysis = Fsa_core.Analysis
 module Hom = Fsa_hom.Hom
 module Auth = Fsa_requirements.Auth
 
 let stakeholder = Fsa_requirements.Derive.default_stakeholder
 
-let modular_equals_product ~meth apa =
+let modular_equals_product apa =
   let product = Lts.explore apa in
-  let r = Analysis.tool ~meth ~stakeholder apa in
+  let r = Analysis.tool ~stakeholder apa in
   let set f = Action.Set.elements (f product) in
-  let oracle =
+  let oracle depends =
     List.map
       (fun mx ->
-        ( mx,
-          List.map
-            (fun mn ->
-              (mn, Analysis.dependence ~meth product ~min_action:mn ~max_action:mx))
-            (set Lts.minima) ))
+        (mx, List.map (fun mn -> (mn, depends ~min_action:mn ~max_action:mx)) (set Lts.minima)))
       (set Lts.maxima)
+  in
+  let oracle_abstract = oracle (Hom.depends_abstract product) in
+  let oracle_bfs =
+    oracle (fun ~min_action ~max_action ->
+        Lts.depends_on product ~max_action ~min_action)
   in
   let requirements =
     List.concat_map
@@ -255,7 +256,7 @@ let modular_equals_product ~meth apa =
             if d then Some (Auth.make ~cause:mn ~effect:mx ~stakeholder:(stakeholder mx))
             else None)
           row)
-      oracle
+      oracle_abstract
     |> Auth.normalise
   in
   let automata_agree () =
@@ -280,7 +281,8 @@ let modular_equals_product ~meth apa =
   r.Analysis.t_stats = Lts.stats product
   && names r.Analysis.t_minima = names (set Lts.minima)
   && names r.Analysis.t_maxima = names (set Lts.maxima)
-  && rows r.Analysis.t_matrix = rows oracle
+  && rows r.Analysis.t_matrix = rows oracle_abstract
+  && rows r.Analysis.t_matrix = rows oracle_bfs
   && Auth.equal_set r.Analysis.t_requirements requirements
   && automata_agree ()
 
@@ -291,8 +293,7 @@ let prop_modular_equals_product =
       | exception Fsa_spec.Loc.Error _ -> true
       | apa ->
         QCheck2.assume (fits apa);
-        modular_equals_product ~meth:Analysis.Abstract apa
-        && modular_equals_product ~meth:Analysis.Direct apa)
+        modular_equals_product apa)
 
 (* The outcome store is transparent.  Computed against a fresh store
    (cold), replayed from it (warm) and computed with the cache off,
